@@ -102,14 +102,15 @@ def _cache_get(cache_dir, key):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
-        return entry["payload"]
+        return entry["code"], entry["payload"]
     except (OSError, KeyError, json.JSONDecodeError):
         return None
 
 
-def _cache_put(cache_dir, key, payload: str):
+def _cache_put(cache_dir, key, code: int, payload: str):
     os.makedirs(cache_dir, exist_ok=True)
-    entry = {"key": key, "payload": payload, "created_at": time.time()}
+    entry = {"key": key, "code": code, "payload": payload,
+             "created_at": time.time()}
     path = os.path.join(cache_dir, key + ".json")
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -117,17 +118,18 @@ def _cache_put(cache_dir, key, payload: str):
     os.replace(tmp, path)
 
 
-def _cached(config: Config, payload: dict, render):
-    """Render through the cache: hit returns the stored text verbatim."""
+def _cached(config: Config, payload: dict, run):
+    """Run through the cache: a hit returns the stored exit code and text
+    verbatim, without recomputing."""
     if config.cache_dir is None:
-        return render()
+        return run()
     key = _cache_key({**payload, "version": __version__})
     hit = _cache_get(config.cache_dir, key)
     if hit is not None:
         return hit
-    text = render()
-    _cache_put(config.cache_dir, key, text)
-    return text
+    code, text = run()
+    _cache_put(config.cache_dir, key, code, text)
+    return code, text
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +155,11 @@ def cmd_classify(args, config: Config):
     chi = _check_poly(args.poly, config)
     order_for(chi, config.degree_cap)  # raises ReduciblePolynomial early
 
-    def render():
+    def run():
         inv = classify(chi, config.bound_override, config.budget(),
                        degree_cap=config.degree_cap)
-        cm = class_monoid(order_for(chi, config.degree_cap),
-                          config.bound_override, config.budget())
+        cm = inv.monoid
+        code = 2 if cm.unknown_pairs else 0
         if config.output_format == "json":
             doc = {
                 "poly": poly_to_string(chi),
@@ -172,7 +174,7 @@ def cmd_classify(args, config: Config):
                     for cls, mat in inv.pairs
                 ],
             }
-            return _dump(doc)
+            return code, _dump(doc)
         lines = [f"poly\t{poly_to_string(chi)}",
                  f"count\t{inv.count}",
                  f"bound\t{cm.bound_used}",
@@ -183,24 +185,22 @@ def cmd_classify(args, config: Config):
             mrows = ";".join(",".join(str(x) for x in r) for r in mat.rows)
             lines.append(f"class\t{i}\tden={cls.canonical.den}\thnf={hnf}\t"
                          f"invertible={int(cls.invertible)}\tmatrix={mrows}")
-        return "\n".join(lines) + "\n"
+        return code, "\n".join(lines) + "\n"
 
     payload = {"cmd": "classify", "poly": poly_to_string(chi),
                "bound": config.bound_override, "budget": config.search_budget,
                "format": config.output_format}
-    text = _cached(config, payload, render)
-    cm = class_monoid(order_for(chi, config.degree_cap),
-                      config.bound_override, config.budget())
-    return (2 if cm.unknown_pairs else 0), text
+    return _cached(config, payload, run)
 
 
 def cmd_icm(args, config: Config):
     chi = _check_poly(args.poly, config)
     order_for(chi, config.degree_cap)
 
-    def render():
+    def run():
         cm = class_monoid(order_for(chi, config.degree_cap),
                           config.bound_override, config.budget())
+        code = 2 if cm.unknown_pairs else 0
         if config.output_format == "json":
             doc = {
                 "poly": poly_to_string(chi),
@@ -213,7 +213,7 @@ def cmd_icm(args, config: Config):
                     for c in cm.classes
                 ],
             }
-            return _dump(doc)
+            return code, _dump(doc)
         lines = [f"poly\t{poly_to_string(chi)}",
                  f"size\t{cm.size}",
                  f"picard_size\t{cm.picard_size}",
@@ -223,15 +223,12 @@ def cmd_icm(args, config: Config):
                            for r in c.canonical.lattice.rows)
             lines.append(f"class\t{i}\tden={c.canonical.den}\thnf={hnf}\t"
                          f"invertible={int(c.invertible)}")
-        return "\n".join(lines) + "\n"
+        return code, "\n".join(lines) + "\n"
 
     payload = {"cmd": "icm", "poly": poly_to_string(chi),
                "bound": config.bound_override, "budget": config.search_budget,
                "format": config.output_format}
-    text = _cached(config, payload, render)
-    cm = class_monoid(order_for(chi, config.degree_cap),
-                      config.bound_override, config.budget())
-    return (2 if cm.unknown_pairs else 0), text
+    return _cached(config, payload, run)
 
 
 def cmd_conjugate(args, config: Config):

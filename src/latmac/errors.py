@@ -21,6 +21,10 @@ class BudgetExceeded(RuntimeError):
     """An enumeration outgrew its configured resource limit."""
 
 
+class CertificationError(RuntimeError):
+    """A computed certificate failed its exact check: an internal fault."""
+
+
 class InvalidD(ValueError):
     """Pell parameter d must be positive and not a perfect square."""
 

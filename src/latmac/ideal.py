@@ -7,11 +7,13 @@ when one is a K*-multiple of the other.
 
 For quadratic orders the equivalence decision is exact in both signatures:
 
-* real (disc > 0): the basis ratio theta = w2/w1 is a quadratic irrational;
-  its continued fraction expansion under a fixed real embedding is eventually
-  periodic, and two lattices are K*-homothetic exactly when their expansions
-  share the periodic cycle (Serret).  Tracking the partial quotients also
-  yields the scaling witness.
+* real (disc > 0): the basis ratio theta = w2/w1 is a quadratic irrational
+  (p + sqrt(Delta))/q, with Delta the discriminant of its primitive form.
+  Its continued fraction under a fixed real embedding runs on integer (P, Q)
+  states over Delta and is eventually periodic; two lattices are
+  K*-homothetic exactly when they share Delta and the periodic cycle
+  (Serret).  The convergents of the partial quotients yield the scaling
+  witness.
 * imaginary (disc < 0): the norm form is positive definite, so all candidate
   witnesses of the required norm in the colon lattice can be enumerated.
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .errors import BudgetExceeded, ZeroIdeal
+from .errors import BudgetExceeded, CertificationError, ZeroIdeal
 from .exactla import HNFBasis, IntMatrix, adjugate, hnf
 from .order import FieldElement, Order
 
@@ -220,84 +222,92 @@ def is_invertible(a: FracIdeal) -> bool:
 # Equivalence: real quadratic continued-fraction cycle
 # ---------------------------------------------------------------------------
 
-def _floor_embedding(order: Order, p: Fraction, q: Fraction) -> int:
-    """Exact floor of p + q*xi under the embedding xi -> (-b + sqrt(D))/2."""
-    b = order.chi.coeffs[1]
-    d = order.disc
-    x = p - Fraction(q * b, 2)
-    y = Fraction(q, 2)
-    c = lcm(x.denominator, y.denominator)
-    big_a = int(x * c)
-    big_b = int(y * c)
-    if big_b == 0:
-        return big_a // c
-    s = isqrt(big_b * big_b * d)
-    if big_b > 0:
-        return (big_a + s) // c
-    return (big_a - s - 1) // c
+def cf_period(p: int, q: int, disc: int, max_steps: int):
+    """Continued fraction of (p + sqrt(disc))/q until a (p, q) state recurs.
 
-
-def _cf_cycle(a: FracIdeal, budget: SearchBudget):
-    """Continued-fraction data for the basis ratio of a real quadratic ideal.
-
-    Returns (cycle_states, state_to_scale, anchor) where anchor * (Z + Z*theta)
-    equals a whenever theta is the state's value and scale is the accumulated
-    product of partial remainders at that state.
+    disc is a positive non-square and q divides disc - p^2, which every later
+    state inherits (Cohen, GTM 138, 5.6-5.7).  Returns (trail, start) with
+    trail[k] = (p_k, q_k, a_k), a_k the k-th partial quotient; trail[start:]
+    is the period.
     """
-    o = a.order
-    r0, r1 = a.lattice.rows
-    w1 = FieldElement(o, (Fraction(r0[0], a.den), Fraction(r0[1], a.den)))
-    theta = FieldElement(o, (Fraction(r1[0]), Fraction(r1[1]))) / \
-        FieldElement(o, (Fraction(r0[0]), Fraction(r0[1])))
-    if theta.coords[1] == 0:
-        raise RuntimeError("basis ratio unexpectedly rational")
-    scale = FieldElement(o, (Fraction(1), Fraction(0)))
+    s = isqrt(disc)
     seen = {}
     trail = []
-    for step in range(budget.max_steps):
-        state = (theta.coords[0], theta.coords[1])
-        if state in seen:
-            start = seen[state]
-            cycle = {s: sc for s, sc in trail[start:]}
-            return frozenset(cycle), cycle, w1
-        seen[state] = step
-        trail.append((state, scale))
-        q = _floor_embedding(o, theta.coords[0], theta.coords[1])
-        delta = FieldElement(o, (theta.coords[0] - q, theta.coords[1]))
-        scale = scale * delta
-        theta = delta.inverse()
+    for step in range(max_steps):
+        if (p, q) in seen:
+            return trail, seen[(p, q)]
+        seen[(p, q)] = step
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        trail.append((p, q, a))
+        p = a * q - p
+        q, r = divmod(disc - p * p, q)
+        if r:
+            raise CertificationError("CF step broke q | disc - p^2")
     raise BudgetExceeded("continued fraction failed to cycle within budget")
 
 
-def cycle_key(a: FracIdeal, budget: SearchBudget = DEFAULT_BUDGET) -> frozenset:
-    """Class invariant for real quadratic ideals: the CF cycle state set."""
-    states, _, _ = _cf_cycle(a, budget)
-    return states
+def _ratio_state(a: FracIdeal):
+    """(disc, p, q) with (p + sqrt(disc))/q = w2/w1 for the basis rows of a.
+
+    (A, B, C) = (N(w1), -Tr(w1 w2'), N(w2)) / content is the primitive form
+    of the ratio theta, of discriminant disc.  Under xi -> (-b + sqrt(D))/2
+    the irrational part of theta has the sign of (u1 v2 - u2 v1) / N(w1), and
+    u1 v2 - u2 v1 is positive for a row HNF, so theta = (-B + sqrt(disc))/(2A)
+    with no normalisation of the sign of A.
+    """
+    _, b, c = a.order.chi.coeffs
+    (u1, v1), (u2, v2) = a.lattice.rows
+
+    def norm(u, v):
+        return u * u - b * u * v + c * v * v
+
+    n1, n2 = norm(u1, v1), norm(u2, v2)
+    cross = norm(u1 + u2, v1 + v2) - n1 - n2
+    g = gcd(n1, cross, n2)
+    big_a, big_b, big_c = n1 // g, -cross // g, n2 // g
+    return big_b * big_b - 4 * big_a * big_c, -big_b, 2 * big_a
+
+
+def _scaled_anchor(a: FracIdeal, trail, k: int) -> FieldElement:
+    """w1 * (x_0 - a_0) ... (x_{k-1} - a_{k-1}) along the CF of x_0 = w2/w1.
+
+    With convergents h/g of x_0 the product is (-1)^k (h_{k-1} w1 - g_{k-1} w2),
+    an integer combination of the basis, so no field inversion is needed.
+    """
+    h0, h1, g0, g1 = 0, 1, 1, 0
+    for _, _, q in trail[:k]:
+        h0, h1 = h1, q * h1 + h0
+        g0, g1 = g1, q * g1 + g0
+    sign = -1 if k % 2 else 1
+    (u1, v1), (u2, v2) = a.lattice.rows
+    return FieldElement(a.order, (Fraction(sign * (h1 * u1 - g1 * u2), a.den),
+                                  Fraction(sign * (h1 * v1 - g1 * v2), a.den)))
+
+
+def cycle_key(a: FracIdeal, budget: SearchBudget = DEFAULT_BUDGET):
+    """Class invariant for real quadratic ideals: the discriminant of the
+    basis ratio and the set of (p, q) states on its CF period."""
+    disc, p, q = _ratio_state(a)
+    trail, start = cf_period(p, q, disc, budget.max_steps)
+    return disc, frozenset((p, q) for p, q, _ in trail[start:])
 
 
 def _equivalent_real_quadratic(a, b, budget):
-    states_a, cycle_a, anchor_a = _cf_cycle(a, budget)
-    o = a.order
-    r0, r1 = b.lattice.rows
-    anchor_b = FieldElement(o, (Fraction(r0[0], b.den), Fraction(r0[1], b.den)))
-    theta = FieldElement(o, (Fraction(r1[0]), Fraction(r1[1]))) / \
-        FieldElement(o, (Fraction(r0[0]), Fraction(r0[1])))
-    scale = FieldElement(o, (Fraction(1), Fraction(0)))
-    seen = set()
-    for _ in range(budget.max_steps):
-        state = (theta.coords[0], theta.coords[1])
-        if state in states_a:
-            z = (anchor_b * scale) / (anchor_a * cycle_a[state])
-            assert a.scale(z) == b
+    disc_a, p, q = _ratio_state(a)
+    trail_a, start = cf_period(p, q, disc_a, budget.max_steps)
+    disc_b, p, q = _ratio_state(b)
+    trail_b, _ = cf_period(p, q, disc_b, budget.max_steps)
+    if disc_a != disc_b:
+        return EquivalenceResult(INEQUIVALENT)
+    period = {(p, q): k for k, (p, q, _) in enumerate(trail_a) if k >= start}
+    for k, (p, q, _) in enumerate(trail_b):
+        if (p, q) in period:
+            z = _scaled_anchor(b, trail_b, k) / \
+                _scaled_anchor(a, trail_a, period[(p, q)])
+            if a.scale(z) != b:
+                raise CertificationError("real quadratic witness fails z*a = b")
             return EquivalenceResult(EQUIVALENT, z)
-        if state in seen:
-            return EquivalenceResult(INEQUIVALENT)
-        seen.add(state)
-        q = _floor_embedding(o, theta.coords[0], theta.coords[1])
-        delta = FieldElement(o, (theta.coords[0] - q, theta.coords[1]))
-        scale = scale * delta
-        theta = delta.inverse()
-    raise BudgetExceeded("continued fraction failed to cycle within budget")
+    return EquivalenceResult(INEQUIVALENT)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +504,7 @@ def class_monoid(order: Order, bound_override: int | None = None,
     buckets: list[list[FracIdeal]] = []
     unknown_pairs = 0
     if order.n == 2 and order.disc > 0:
-        keyed: dict[frozenset, list[FracIdeal]] = {}
+        keyed: dict[tuple, list[FracIdeal]] = {}
         for a in ideals:
             keyed.setdefault(cycle_key(a, budget), []).append(a)
         buckets = [keyed[k] for k in sorted(

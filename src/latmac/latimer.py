@@ -16,11 +16,11 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
 
-from .errors import BudgetExceeded, ReduciblePolynomial
+from .errors import BudgetExceeded, CertificationError, ReduciblePolynomial
 from .exactla import IntMatrix, MonicIntPoly, adjugate, charpoly, det_bareiss
 from .ideal import (
-    DEFAULT_BUDGET, EQUIVALENT, INEQUIVALENT, FracIdeal, IdealClass,
-    SearchBudget, class_monoid, is_equivalent, make_ideal,
+    DEFAULT_BUDGET, EQUIVALENT, INEQUIVALENT, ClassMonoid, FracIdeal,
+    IdealClass, SearchBudget, class_monoid, is_equivalent, make_ideal,
 )
 from .order import FieldElement, Order, OrderElement
 
@@ -53,6 +53,7 @@ class ConjugacyVerdict:
 class ClassInventory:
     chi: MonicIntPoly
     pairs: tuple[tuple[IdealClass, IntMatrix], ...]
+    monoid: ClassMonoid
     oracle_count: int | None = None
 
     @property
@@ -200,17 +201,19 @@ def are_conjugate(m: IntMatrix, n_mat: IntMatrix,
         row = []
         for j in range(n):
             s = sum(r[k] * adj.rows[k][j] for k in range(n))
-            num = s
-            assert num % (d * den) == 0
-            row.append(num // (d * den))
+            if s % (d * den):
+                raise CertificationError("conjugator is not integral")
+            row.append(s // (d * den))
         p_rows.append(tuple(row))
     p = IntMatrix(tuple(p_rows))
     dp = det_bareiss(p.rows)
-    assert dp in (1, -1)
+    if dp not in (1, -1):
+        raise CertificationError(f"conjugator has determinant {dp}")
     p_inv = adjugate(p) if dp == 1 else IntMatrix(
         tuple(tuple(-x for x in r) for r in adjugate(p).rows))
     witness = p_inv  # witness * M * witness^-1 = N
-    assert witness * m == n_mat * witness
+    if witness * m != n_mat * witness:
+        raise CertificationError("witness fails W * M = N * W")
     return ConjugacyVerdict(EQUIVALENT, witness)
 
 
@@ -232,7 +235,7 @@ def classify(chi: MonicIntPoly, bound_override: int | None = None,
     oracle = None
     if oracle_bounds is not None:
         oracle = oracle_count_classes(chi, *oracle_bounds)
-    return ClassInventory(chi, tuple(pairs), oracle)
+    return ClassInventory(chi, tuple(pairs), cm, oracle)
 
 
 # ---------------------------------------------------------------------------

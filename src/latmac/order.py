@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import ReduciblePolynomial
 from .exactla import (
@@ -92,9 +92,6 @@ class Order:
 
     def element(self, coords) -> "OrderElement":
         return OrderElement(self, tuple(int(c) for c in coords))
-
-    def field_element(self, coords) -> "FieldElement":
-        return FieldElement(self, tuple(Fraction(c) for c in coords))
 
 
 @dataclass(frozen=True)
@@ -242,26 +239,8 @@ class FieldElement:
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
-    def denominator(self) -> int:
-        return lcm(*(c.denominator for c in self.coords))
-
-    def integral_parts(self):
-        """(d, OrderElement w) with self = w / d and d minimal positive."""
-        d = self.denominator()
-        w = OrderElement(self.order, tuple(int(c * d) for c in self.coords))
-        return d, w
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
     def __repr__(self):
         return f"FieldElement{tuple(str(c) for c in self.coords)}"
-
-
-def field_gcd_content(elements) -> int:
-    """gcd of all integer coordinates across OrderElements (0 if all zero)."""
-    g = 0
-    for e in elements:
-        for c in e.coords:
-            g = gcd(g, c)
-    return g

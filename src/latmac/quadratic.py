@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import InvalidD
+from .errors import BudgetExceeded, CertificationError, InvalidD
 from .exactla import IntMatrix, MonicIntPoly, charpoly
-from .ideal import class_monoid
+from .ideal import cf_period, class_monoid
 from .latimer import order_for
 
 
@@ -48,61 +48,37 @@ class QuadOrderInfo:
     matrix: IntMatrix
 
 
-def _cf_floor(p: int, q: int, s: int) -> int:
-    """Exact floor of (p + sqrt(D))/q given s = isqrt(D), D not a square."""
-    if q > 0:
-        return (p + s) // q
-    return (-p - s - 1) // (-q)
-
-
 def fundamental_unit(disc: int, step_cap: int = 10 ** 6) -> tuple[int, int, int]:
     """Fundamental unit (t + u sqrt(disc))/2 of the real quadratic order of
     the given discriminant: returns (t, u, norm) with t^2 - disc u^2 = 4*norm.
 
     Runs the continued fraction of x0 = (b0 + sqrt(disc))/2 until the (P, Q)
     state recurs, then applies the pure-period convergent formula to the
-    cycle: the resulting number stabilizes the lattice Z + Z*x_m, whose
-    multiplicator ring is exactly the order of this discriminant.
+    period's partial quotients: the resulting number stabilizes the lattice
+    Z + Z*x_m, whose multiplicator ring is exactly the order of this
+    discriminant.
     """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise InvalidD(f"{disc} is not a positive quadratic discriminant")
     s = isqrt(disc)
     if s * s == disc:
         raise InvalidD(f"{disc} is a perfect square")
-    b0 = disc % 2
-    p_cur, q_cur = b0, 2
-    seen = {}
-    states = []
-    for step in range(step_cap):
-        if (p_cur, q_cur) in seen:
-            break
-        seen[(p_cur, q_cur)] = step
-        states.append((p_cur, q_cur))
-        a = _cf_floor(p_cur, q_cur, s)
-        p_next = a * q_cur - p_cur
-        assert (disc - p_next * p_next) % q_cur == 0
-        p_cur, q_cur = p_next, (disc - p_next * p_next) // q_cur
-    else:
-        raise InvalidD(f"continued fraction for disc {disc} did not cycle")
-    m = seen[(p_cur, q_cur)]
-    cycle = states[m:]
-    length = len(cycle)
+    try:
+        trail, start = cf_period(disc % 2, 2, disc, step_cap)
+    except BudgetExceeded:
+        raise InvalidD(f"continued fraction for disc {disc} did not cycle") from None
+    period = trail[start:]
     q_prev_conv, q_conv = 1, 0
-    pm, qm = cycle[0]
-    p, q = pm, qm
-    for _ in range(length):
-        a = _cf_floor(p, q, s)
+    for _, _, a in period:
         q_prev_conv, q_conv = q_conv, a * q_conv + q_prev_conv
-        p = a * q - p
-        q = (disc - p * p) // q
     # unit = q_conv * x_m + q_prev_conv with x_m = (pm + sqrt(disc))/qm
-    t_num = 2 * (q_conv * pm + q_prev_conv * qm)
-    u_num = 2 * q_conv
-    assert t_num % qm == 0 and u_num % qm == 0
-    t = abs(t_num // qm)
-    u = abs(u_num // qm)
-    norm = -1 if length % 2 else 1
-    assert t * t - disc * u * u == 4 * norm
+    pm, qm, _ = period[0]
+    t, t_rem = divmod(2 * (q_conv * pm + q_prev_conv * qm), qm)
+    u, u_rem = divmod(2 * q_conv, qm)
+    t, u = abs(t), abs(u)
+    norm = -1 if len(period) % 2 else 1
+    if t_rem or u_rem or t * t - disc * u * u != 4 * norm:
+        raise CertificationError(f"fundamental unit check fails for disc {disc}")
     return t, u, norm
 
 

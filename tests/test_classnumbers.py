@@ -2,7 +2,8 @@
 sources: reduced binary quadratic forms (imaginary), published class-number
 tables (both signatures), and hand-checked cubic fields."""
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -55,6 +56,63 @@ REAL_TABLE = {
     61: 1, 65: 2, 69: 1, 73: 1, 77: 1, 85: 2, 89: 1, 93: 1, 97: 1,
     101: 1, 105: 2, 109: 1, 113: 1, 145: 4, 185: 2, 197: 1,
 }
+
+
+def is_fundamental(d):
+    if d % 4 == 1:
+        m = d
+    elif d % 16 in (8, 12):
+        m = d // 4
+    else:
+        return False
+    return all(m % (p * p) for p in range(2, isqrt(m) + 1))
+
+
+def kronecker(d, p):
+    """Kronecker symbol (d/p) for a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def unit_scan(disc):
+    """Fundamental unit (t + u sqrt(disc))/2: the least u > 0 with
+    t^2 - disc u^2 = -4 or 4, by a plain scan."""
+    u = 1
+    while True:
+        for n in (-4, 4):
+            t = isqrt(disc * u * u + n)
+            if t * t == disc * u * u + n:
+                return t, u
+        u += 1
+
+
+def unit_index(d_k, f):
+    """[O_K^x : O_f^x]: the least k with eps^k in Z + f O_K, which for
+    eps^k = (t + u sqrt(d_K))/2 means f | u."""
+    t1, u1 = unit_scan(d_k)
+    t, u, k = t1, u1, 1
+    while u % f:
+        t, u, k = (t * t1 + d_k * u * u1) // 2, (t * u1 + u * t1) // 2, k + 1
+    return k
+
+
+NONMAXIMAL_REAL = [(f * f * d_k, d_k, f)
+                   for d_k in range(5, 101) if is_fundamental(d_k)
+                   for f in range(2, isqrt(400 // d_k) + 1)]
+
+
+@pytest.mark.parametrize("disc,d_k,f", NONMAXIMAL_REAL)
+def test_nonmaximal_real_picard_matches_conductor_formula(disc, d_k, f):
+    h_k = class_monoid(order_for(poly_for_disc(d_k))).picard_size
+    order = order_for(poly_for_disc(disc))
+    assert order.disc == disc
+    euler = Fraction(f)
+    for p in range(2, f + 1):
+        if f % p == 0 and all(p % r for r in range(2, p)):
+            euler *= 1 - Fraction(kronecker(d_k, p), p)
+    assert class_monoid(order).picard_size == h_k * euler / unit_index(d_k, f)
 
 
 @pytest.mark.parametrize("disc,h", sorted(IMAGINARY_TABLE.items()))

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import latmac.cli
+import latmac.latimer
 from latmac.cli import (
     ideal_to_json, main, matrix_from_json, matrix_to_json, parse_matrix_arg,
     poly_to_string,
@@ -184,6 +186,31 @@ def test_cache_hit_is_bit_identical(tmp_path, capsys):
     assert code2 == 0 and out1 == out2
     entry = json.loads((tmp_path / cached_files[0]).read_text())
     assert entry["payload"] == out1
+
+
+@pytest.mark.parametrize("cmd", ["classify", "icm"])
+def test_cache_hit_restores_exit_code_without_math(tmp_path, capsys,
+                                                   monkeypatch, cmd):
+    # budget 1 leaves unknown pairs for X^3+2X-2, so the cold run exits 2
+    args = ["--cache-dir", str(tmp_path), "--budget", "1", cmd,
+            "--poly", "1,0,2,-2"]
+    cold = run_cli(args, capsys)
+    assert cold[0] == 2
+
+    def no_math(*args, **kwargs):
+        raise AssertionError("class_monoid ran on a cache hit")
+
+    monkeypatch.setattr(latmac.cli, "class_monoid", no_math)
+    monkeypatch.setattr(latmac.latimer, "class_monoid", no_math)
+    assert run_cli(args, capsys) == cold
+    monkeypatch.undo()
+    # an entry without the exit code is a miss: recomputed and rewritten
+    (path,) = tmp_path.iterdir()
+    entry = json.loads(path.read_text())
+    del entry["code"]
+    path.write_text(json.dumps(entry))
+    assert run_cli(args, capsys) == cold
+    assert json.loads(path.read_text())["code"] == 2
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -152,10 +152,3 @@ def test_mul_matrix_det_is_norm():
             a = o.element([rng.randint(-5, 5) for _ in range(o.n)]).to_field()
             rows = [[int(c) for c in r] for r in a.mul_matrix_rows()]
             assert det_bareiss(rows) == a.norm()
-
-
-def test_integral_parts():
-    o = Order(ROOT10)
-    x = FieldElement(o, (Fraction(3, 4), Fraction(5, 6)))
-    d, w = x.integral_parts()
-    assert d == 12 and w.coords == (9, 10)
