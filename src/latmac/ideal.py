@@ -326,7 +326,8 @@ def _equivalent_imaginary_quadratic(a, b):
     den = lcm(q11.denominator, q12.denominator, q22.denominator, t.denominator)
     aa, bb, cc, tt = (int(q11 * den), int(q12 * den), int(q22 * den), int(t * den))
     disc = bb * bb - 4 * aa * cc
-    assert disc < 0 and aa > 0
+    if disc >= 0 or aa <= 0:
+        raise CertificationError("norm form of (b : a) is not positive definite")
     ymax = isqrt(4 * aa * tt // (-disc))
     for y in range(-ymax, ymax + 1):
         dx = disc * y * y + 4 * aa * tt
@@ -401,7 +402,8 @@ def is_equivalent(a: FracIdeal, b: FracIdeal,
     if o.n == 1:
         z = FieldElement(o, (Fraction(b.lattice.rows[0][0] * a.den,
                                       a.lattice.rows[0][0] * b.den),))
-        assert a.scale(z) == b
+        if a.scale(z) != b:
+            raise CertificationError("degree-1 witness fails z*a = b")
         return EquivalenceResult(EQUIVALENT, z)
     if o.n == 2:
         if o.disc > 0:

@@ -5,7 +5,12 @@ matrix_to_ideal sends M to the Z-span of the entries of an integral
 xi-eigenvector; ideal_to_matrix writes multiplication by xi on an ideal
 basis.  are_conjugate decides conjugacy through ideal equivalence and
 reconstructs a verified unimodular witness.  oracle_count_classes is the
-independent brute-force check: it never touches the ideal machinery.
+independent brute-force check: it never touches the ideal machinery.  In
+degree 3 it enumerates every matrix with the charpoly and entries in [-h, h]
+and returns the number of components of the conjugation-move graph on the
+box [-(h + 4), h + 4] that meet them.  That count is never below the number
+of classes met, and equals it when the box holds a path between any two
+conjugate matrices.  Its numpy kernels import numpy on first use only.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .ideal import (
 from .order import FieldElement, Order, OrderElement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def order_for(chi: MonicIntPoly, degree_cap: int | None = None) -> Order:
     """Cached order construction (irreducibility is checked once)."""
     return Order(chi, degree_cap=degree_cap)
@@ -127,7 +132,8 @@ def xi_eigenvector(order: Order, m: IntMatrix) -> Eigenvector:
         for j in range(n):
             if m.rows[i][j]:
                 acc = acc + entries[j] * m.rows[i][j]
-        assert acc == xi_el * entries[i]
+        if acc != xi_el * entries[i]:
+            raise CertificationError("eigenvector fails M v = xi v")
     return Eigenvector(order, entries)
 
 
@@ -156,11 +162,13 @@ def ideal_to_matrix(a: FracIdeal) -> IntMatrix:
         prod_row = []
         for j in range(n):
             s = sum(r[k] * adj.rows[k][j] for k in range(n))
-            assert s % d == 0
+            if s % d:
+                raise CertificationError("xi * a is not integral on the basis of a")
             prod_row.append(s // d)
         out.append(tuple(prod_row))
     m = IntMatrix(tuple(out))
-    assert charpoly(m) == o.chi
+    if charpoly(m) != o.chi:
+        raise CertificationError("matrix of xi has the wrong charpoly")
     return m
 
 
@@ -264,12 +272,11 @@ def _matrices_with_charpoly_2(chi: MonicIntPoly, h: int):
     return out
 
 
+@lru_cache(maxsize=4)
 def _unimodular_2x2(bound: int):
-    mats = []
-    for a, b, c, d in product(range(-bound, bound + 1), repeat=4):
-        if a * d - b * c in (1, -1):
-            mats.append(((a, b), (c, d)))
-    return mats
+    return tuple(((a, b), (c, d))
+                 for a, b, c, d in product(range(-bound, bound + 1), repeat=4)
+                 if a * d - b * c in (1, -1))
 
 
 def _conjugate_2x2(p, m):
@@ -300,13 +307,91 @@ def _group_2x2(mats, conj_bound: int) -> int:
     return count
 
 
+def _isqrt(n):
+    """Floor square roots of an int64 array n >= 0; exact for n < 2**52."""
+    import numpy as np
+
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _frame_solutions(alpha, beta, r, w, h):
+    """Every (lane, x, y) with x*y = w, alpha*x + beta*y = r and |x|, |y| <= h.
+
+    Candidates come from closed forms, one per zero pattern of (alpha, beta).
+    A final exact filter keeps only true solutions, so a candidate built from
+    an inexact floor division never gets through.
+    """
+    import numpy as np
+
+    span = np.arange(-h, h + 1, dtype=np.int64)
+
+    def fan(lanes):  # every lane paired with every value in [-h, h]
+        return np.repeat(lanes, len(span)), np.tile(span, len(lanes))
+
+    an, bn = alpha != 0, beta != 0
+    cands = []
+    # alpha, beta nonzero: x is a root of alpha x^2 - r x + beta w = 0
+    i = np.flatnonzero(an & bn)
+    disc = r[i] * r[i] - 4 * alpha[i] * beta[i] * w[i]
+    i, disc = i[disc >= 0], disc[disc >= 0]
+    s = _isqrt(disc)
+    square = s * s == disc
+    i, s = i[square], s[square]
+    for num in (r[i] + s, r[i] - s):
+        x = num // (2 * alpha[i])
+        cands.append((i, x, (r[i] - alpha[i] * x) // beta[i]))
+    # one of alpha, beta zero: the nonzero one fixes its unknown t = r / c;
+    # t fixes the other unknown as w / t, or frees it when t = w = 0
+    for lanes, c, t_is_y in ((~an & bn, beta, True), (an & ~bn, alpha, False)):
+        i = np.flatnonzero(lanes)
+        t = r[i] // c[i]
+        j, free = fan(i[(t == 0) & (w[i] == 0)])
+        i, t = i[t != 0], t[t != 0]
+        for k, tv, other in ((i, t, w[i] // t), (j, np.zeros_like(j), free)):
+            cands.append((k, other, tv) if t_is_y else (k, tv, other))
+    # alpha = beta = 0: r must vanish and (x, y) is any factor pair of w
+    i = np.flatnonzero(~an & ~bn & (r == 0))
+    j, x = fan(i)
+    cands.append((j, x, w[j] // np.where(x == 0, 1, x)))
+    j, y = fan(i[w[i] == 0])
+    cands.append((j, np.zeros_like(j), y))
+    lane, x, y = (np.concatenate(part) for part in zip(*cands))
+    ok = ((np.abs(x) <= h) & (np.abs(y) <= h) & (x * y == w[lane])
+          & (alpha[lane] * x + beta[lane] * y == r[lane]))
+    return lane[ok], x[ok], y[ok]
+
+
+def _check_charpoly_3(vecs, e1, e2, e3):
+    """Raise unless every row-major matrix in vecs has trace e1, principal
+    2x2 minor sum e2 and determinant e3 (exact in int64 for h <= 30)."""
+    a = vecs.T
+    minors = (a[0] * a[4] - a[1] * a[3] + a[0] * a[8] - a[2] * a[6]
+              + a[4] * a[8] - a[5] * a[7])
+    det = (a[0] * (a[4] * a[8] - a[5] * a[7]) - a[1] * (a[3] * a[8] - a[5] * a[6])
+           + a[2] * (a[3] * a[7] - a[4] * a[6]))
+    bad = (a[0] + a[4] + a[8] != e1) | (minors != e2) | (det != e3)
+    if bad.any():
+        raise CertificationError(
+            f"enumerated matrix {vecs[bad][0].tolist()} has the wrong charpoly")
+
+
 def _matrices_with_charpoly_3(chi: MonicIntPoly, h: int):
     """All 3x3 integer matrices with the given charpoly, entries in [-h, h].
 
-    Enumerates the diagonal and the (12, 21, 13, 31) frame, then solves for
-    (a23, a32) from the product and determinant constraints in closed form.
-    The heavy inner elimination runs vectorized over int64; the value bounds
-    are checked up front so no intermediate can overflow.
+    Returns their row-major entries as the lexicographically sorted rows of
+    an (N, 9) int64 array.  For each diagonal (a11, a22) the trace fixes a33,
+    and the whole (a12, a21, a13, a31) frame runs as int64 lanes.  On each
+    lane the second coefficient fixes w = a23 * a32 and the determinant
+    fixes alpha * a23 + beta * a32 = r, which _frame_solutions solves in
+    closed form.  Here w, r and the discriminant r^2 - 4 alpha beta w depend
+    on the frame only through (u, v) = (a12 a21, a13 a31), as alpha beta =
+    u v.  So the frame is grouped by (u, v), and only the lanes of pairs with
+    |w| <= h^2 and, when u v != 0, a square discriminant are solved.  The
+    value bounds are checked up front so no intermediate can overflow, and
+    every matrix's charpoly is checked on the way out.
     """
     import numpy as np
 
@@ -315,215 +400,135 @@ def _matrices_with_charpoly_3(chi: MonicIntPoly, h: int):
     e3 = -chi.coeffs[3]
     if h > 30 or max(abs(e1), abs(e2), abs(e3)) > 10 ** 6:
         raise BudgetExceeded("oracle bounds too large for exact int64 lanes")
-    h2 = h * h
-    rng = np.arange(-h, h + 1, dtype=np.int64)
-    a13g, a31g = np.meshgrid(rng, rng, indexing="ij")
-    a13v = a13g.ravel()
-    a31v = a31g.ravel()
-    vprod = a13v * a31v
-
-    pair_cache = {}
-
-    def pairs(m):
-        if m in pair_cache:
-            return pair_cache[m]
-        out = []
-        if m == 0:
-            out.extend((0, y) for y in range(-h, h + 1))
-            out.extend((x, 0) for x in range(-h, h + 1) if x)
-        else:
-            for x in range(-h, h + 1):
-                if x and m % x == 0 and abs(m // x) <= h:
-                    out.append((x, m // x))
-        pair_cache[m] = out
-        return out
-
-    found = []
+    span = np.arange(-h, h + 1, dtype=np.int8)
+    frame = np.stack([g.ravel() for g in np.meshgrid(span, span, span, span,
+                                                     indexing="ij")])
+    wide = frame.astype(np.int32)
+    u, v = wide[0] * wide[1], wide[2] * wide[3]
+    del wide
+    order = np.lexsort((v, u))
+    frame, u, v = frame[:, order], u[order], v[order]
+    starts = np.flatnonzero(np.diff(u, prepend=u[:1] - 1) | np.diff(v, prepend=0))
+    sizes = np.diff(starts, append=len(u))
+    pu, pv = u[starts].astype(np.int64), v[starts].astype(np.int64)
+    del u, v
+    blocks = []
     for a11 in range(-h, h + 1):
         for a22 in range(-h, h + 1):
             a33 = e1 - a11 - a22
             if abs(a33) > h:
                 continue
-            diagsym = a11 * a22 + a11 * a33 + a22 * a33
-            base = a11 * a22 * a33
-            p_total = diagsym - e2
-            for a12 in range(-h, h + 1):
-                for a21 in range(-h, h + 1):
-                    u = a12 * a21
-                    w = p_total - u - vprod
-                    ok = np.abs(w) <= h2
-                    if not ok.any():
-                        continue
-                    r = (e3 - base) + a11 * w + a22 * vprod + u * a33
-                    alpha = a12 * a31v
-                    beta = a13v * a21
-                    an = alpha != 0
-                    bn = beta != 0
-
-                    # generic lane: alpha, beta nonzero -> quadratic in a23
-                    lane = ok & an & bn
-                    if lane.any():
-                        disc = r * r - 4 * alpha * beta * w
-                        lane &= disc >= 0
-                        if lane.any():
-                            s = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
-                            s = np.where(s * s > disc, s - 1, s)
-                            s = np.where((s + 1) * (s + 1) <= disc, s + 1, s)
-                            lane &= s * s == disc
-                            two_a = np.where(alpha == 0, 1, 2 * alpha)
-                            for sign in (1, -1):
-                                num = r + sign * s
-                                good = lane & (num % two_a == 0)
-                                if sign == -1:
-                                    good &= s != 0
-                                if not good.any():
-                                    continue
-                                x23 = np.where(good, num // two_a, 0)
-                                good &= np.abs(x23) <= h
-                                rem = r - alpha * x23
-                                good &= rem % np.where(bn, beta, 1) == 0
-                                x32 = np.where(good, rem // np.where(beta == 0, 1, beta), 0)
-                                good &= (np.abs(x32) <= h) & (x23 * x32 == w)
-                                for idx in np.nonzero(good)[0]:
-                                    found.append((
-                                        (a11, a12, int(a13v[idx])),
-                                        (a21, a22, int(x23[idx])),
-                                        (int(a31v[idx]), int(x32[idx]), a33)))
-
-                    # alpha == 0, beta != 0: a32 = r / beta, a23 from product
-                    lane = ok & ~an & bn
-                    for idx in np.nonzero(lane)[0]:
-                        bb = int(beta[idx])
-                        rr = int(r[idx])
-                        ww = int(w[idx])
-                        if rr % bb:
-                            continue
-                        y = rr // bb
-                        if abs(y) > h:
-                            continue
-                        if y == 0:
-                            if ww == 0:
-                                for x in range(-h, h + 1):
-                                    found.append((
-                                        (a11, a12, int(a13v[idx])),
-                                        (a21, a22, x),
-                                        (int(a31v[idx]), 0, a33)))
-                            continue
-                        if ww % y:
-                            continue
-                        x = ww // y
-                        if abs(x) <= h:
-                            found.append((
-                                (a11, a12, int(a13v[idx])),
-                                (a21, a22, x),
-                                (int(a31v[idx]), y, a33)))
-
-                    # alpha != 0, beta == 0: symmetric
-                    lane = ok & an & ~bn
-                    for idx in np.nonzero(lane)[0]:
-                        aa = int(alpha[idx])
-                        rr = int(r[idx])
-                        ww = int(w[idx])
-                        if rr % aa:
-                            continue
-                        x = rr // aa
-                        if abs(x) > h:
-                            continue
-                        if x == 0:
-                            if ww == 0:
-                                for y in range(-h, h + 1):
-                                    found.append((
-                                        (a11, a12, int(a13v[idx])),
-                                        (a21, a22, 0),
-                                        (int(a31v[idx]), y, a33)))
-                            continue
-                        if ww % x:
-                            continue
-                        y = ww // x
-                        if abs(y) <= h:
-                            found.append((
-                                (a11, a12, int(a13v[idx])),
-                                (a21, a22, x),
-                                (int(a31v[idx]), y, a33)))
-
-                    # alpha == beta == 0: need r == 0, any factor pair of w
-                    lane = ok & ~an & ~bn & (r == 0)
-                    for idx in np.nonzero(lane)[0]:
-                        for x, y in pairs(int(w[idx])):
-                            found.append((
-                                (a11, a12, int(a13v[idx])),
-                                (a21, a22, x),
-                                (int(a31v[idx]), y, a33)))
-    mats = sorted(set(found))
-    for rows in mats[:20]:
-        assert charpoly(IntMatrix(rows)) == chi
-    return [IntMatrix(rows) for rows in mats]
+            w = a11 * a22 + a11 * a33 + a22 * a33 - e2 - pu - pv
+            r = (e3 - a11 * a22 * a33) + a11 * w + a22 * pv + a33 * pu
+            disc = r * r - 4 * pu * pv * w
+            s = _isqrt(np.maximum(disc, 0))
+            live = np.flatnonzero((np.abs(w) <= h * h)
+                                  & ((pu * pv == 0) | (s * s == disc)))
+            count = sizes[live]
+            first = np.cumsum(count) - count
+            lanes = np.repeat(starts[live] - first, count) + np.arange(count.sum())
+            a12, a21, a13, a31 = frame[:, lanes].astype(np.int64)
+            pair = np.repeat(live, count)
+            lane, x, y = _frame_solutions(a12 * a31, a13 * a21, r[pair], w[pair], h)
+            diag = np.ones_like(lane)
+            blocks.append(np.stack([
+                a11 * diag, a12[lane], a13[lane],
+                a21[lane], a22 * diag, x,
+                a31[lane], y, a33 * diag], axis=1))
+    vecs = np.unique(np.concatenate(blocks) if blocks
+                     else np.empty((0, 9), dtype=np.int64), axis=0)
+    _check_charpoly_3(vecs, e1, e2, e3)
+    return vecs
 
 
-_PERMS3 = list(permutations(range(3)))
-_SIGNS3 = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]
+@lru_cache(maxsize=1)
+def _moves_3():
+    """The 20 non-identity conjugations of _group_3x3 as 9x9 integer maps.
 
-
-def _neighbors_3(rows, box):
-    """Conjugates of a 3x3 matrix by elementary, permutation and sign matrices,
-    restricted to entries within the box."""
-    out = []
-    for perm in _PERMS3:
-        cand = tuple(tuple(rows[perm[i]][perm[j]] for j in range(3)) for i in range(3))
-        out.append(cand)
-    for s in _SIGNS3:
-        cand = tuple(tuple(s[i] * rows[i][j] * s[j] for j in range(3)) for i in range(3))
-        out.append(cand)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for e in (1, -1):
-                cand = []
-                okay = True
-                for rr in range(3):
-                    row = []
-                    for cc in range(3):
-                        val = rows[rr][cc]
-                        if rr == i:
-                            val += e * rows[j][cc]
-                        if cc == j:
-                            val -= e * rows[rr][i] + (e * e * rows[j][i] if rr == i else 0)
-                        row.append(val)
-                        if abs(val) > box:
-                            okay = False
-                    cand.append(tuple(row))
-                if okay:
-                    out.append(tuple(cand))
-    return out
-
-
-def _group_3x3(mats, entry_bound, margin=4) -> int:
-    """Group by conjugacy via breadth-first closure over elementary moves.
-
-    Intermediate conjugates may wander up to entry_bound + margin before
-    returning to the enumerated box; unreached matrices seed new groups.
+    With M as its row-major entry vector m, P M P^-1 is m @ kron(P^T, P^-1).
+    P runs over the 5 other permutation matrices, the 3 sign changes with one
+    -1, and the 12 elementary matrices I +- E_ij (i != j).
     """
+    import numpy as np
+
+    eye = np.eye(3, dtype=np.int64)
+    pairs = [(eye[list(p)], eye[list(p)].T)
+             for p in permutations(range(3)) if p != (0, 1, 2)]
+    for k in range(3):
+        s = eye.copy()
+        s[k, k] = -1
+        pairs.append((s, s))
+    for i, j in permutations(range(3), 2):
+        for e in (1, -1):
+            p = eye.copy()
+            p[i, j] = e
+            pairs.append((p, 2 * eye - p))
+    return tuple(np.kron(p.T, p_inv) for p, p_inv in pairs)
+
+
+def _sorted_find(table, keys):
+    """Positions of keys in the sorted array table, and which are present."""
+    pos = table.searchsorted(keys)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == keys[found]
+    return pos, found
+
+
+def _group_3x3(vecs, entry_bound, margin=4) -> int:
+    """Count the conjugacy classes met by the enumerated matrices vecs.
+
+    Invariant: the count is the number of connected components that meet
+    vecs, in the graph whose nodes are the matrices with entries in
+    [-box, box], box = entry_bound + margin, and whose edges are the moves of
+    _moves_3.  Every move's inverse is a move, so the graph is undirected.
+    A class whose members are joined only through entries beyond the box
+    counts once per component, so the count is at least the class count.
+
+    Each seed, in sorted order, that no earlier search reached starts a
+    breadth-first search.  It runs one frontier at a time on int64 keys that
+    hold the entries as base 2*box+1 digits (69**9 < 2**63 at h = 30), and
+    applies one move at a time to the whole frontier, held as a (9, F)
+    array.  A key is linear in the entries, so a move maps the frontier
+    straight to keys.  Only the entries that are not +-1 times one old entry
+    can leave the box; they are bound-checked in float64, exact for such
+    small integers.  In an undirected graph the next layer is what the moves
+    reach outside the current and previous layers.  The search stops once
+    every enumerated matrix is reached.
+    """
+    import numpy as np
+
     box = entry_bound + margin
-    remaining = {m.rows for m in mats}
+    radix = 2 * box + 1
+    place = radix ** np.arange(8, -1, -1, dtype=np.int64)
+    offset = box * int(place.sum())
+    moves = [(t[:, np.abs(t).sum(axis=0) > 1].T.astype(np.float64), t @ place)
+             for t in _moves_3()]
+    seeds = vecs @ place + offset    # sorted, since vecs is
+    left = np.ones(len(seeds), dtype=bool)
+    n_left = len(seeds)
     count = 0
-    for seed in sorted(remaining):
-        if seed not in remaining:
+    for s in range(len(seeds)):
+        if not left[s]:
             continue
         count += 1
-        remaining.discard(seed)
-        frontier = [seed]
-        visited = {seed}
-        while frontier and remaining:
-            nxt = []
-            for rows in frontier:
-                for cand in _neighbors_3(rows, box):
-                    if cand in visited:
-                        continue
-                    visited.add(cand)
-                    remaining.discard(cand)
-                    nxt.append(cand)
-            frontier = nxt
+        left[s] = False
+        n_left -= 1
+        previous, layer = seeds[:0], seeds[s:s + 1]
+        while len(layer) and n_left:
+            frontier = layer // place[:, None] % radix - box
+            real = frontier.astype(np.float64)
+            keys = []
+            for wide, to_key in moves:
+                inside = (np.abs(wide @ real) <= box).all(axis=0)
+                keys.append(to_key @ frontier[:, inside] + offset)
+            keys = np.sort(np.concatenate(keys))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            keys = keys[~_sorted_find(layer, keys)[1]]
+            previous, layer = layer, keys[~_sorted_find(previous, keys)[1]]
+            pos, found = _sorted_find(seeds, layer)
+            pos = pos[found]
+            n_left -= np.count_nonzero(left[pos])
+            left[pos] = False
     return count
 
 
@@ -533,6 +538,8 @@ def oracle_count_classes(chi: MonicIntPoly, entry_bound: int,
 
     Independent of the ideal machinery.  The value is trustworthy exactly
     when the bounds are adequate, which callers assert per test case.
+    For degree 3, conj_bound is unused: _group_3x3 walks elementary moves
+    inside a box of entry_bound + 4.
     """
     n = chi.degree
     if n == 2:
@@ -541,8 +548,8 @@ def oracle_count_classes(chi: MonicIntPoly, entry_bound: int,
             raise BudgetExceeded("entry bound excludes every matrix")
         return _group_2x2(mats, conj_bound)
     if n == 3:
-        mats = _matrices_with_charpoly_3(chi, entry_bound)
-        if not mats:
+        vecs = _matrices_with_charpoly_3(chi, entry_bound)
+        if not len(vecs):
             raise BudgetExceeded("entry bound excludes every matrix")
-        return _group_3x3(mats, entry_bound)
+        return _group_3x3(vecs, entry_bound)
     raise ValueError("oracle supports degree 2 and 3 only")

@@ -111,7 +111,7 @@ def test_criterion_04_bijection_vs_oracle():
             assert oracle == expected, (chi.coeffs, oracle)
             assert classify(chi).count == oracle
 
-    _criterion(4, "class counts match the matrix oracle", 300.0, body)
+    _criterion(4, "class counts match the matrix oracle", 30.0, body)
 
 
 def test_criterion_05_round_trips():

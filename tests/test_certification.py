@@ -15,10 +15,10 @@ from latmac.cli import matrix_to_json
 from latmac.errors import CertificationError
 from latmac.exactla import IntMatrix, MonicIntPoly, companion
 from latmac.ideal import (
-    EQUIVALENT, EquivalenceResult, is_equivalent, stable_sublattices,
+    EQUIVALENT, EquivalenceResult, is_equivalent, stable_sublattices, unit_ideal,
 )
-from latmac.latimer import are_conjugate, order_for
-from latmac.order import FieldElement
+from latmac.latimer import are_conjugate, ideal_to_matrix, order_for, xi_eigenvector
+from latmac.order import FieldElement, Order
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 ROOT10 = MonicIntPoly((1, 0, -10))
@@ -52,6 +52,35 @@ def test_corrupted_conjugacy_witness_raises(monkeypatch, factor):
         are_conjugate(m, ROOT10_CONJ)
 
 
+def test_corrupted_eigenvector_raises(monkeypatch):
+    o = order_for(ROOT10)
+    monkeypatch.setattr(Order, "xi", Order.one)
+    with pytest.raises(CertificationError):
+        xi_eigenvector(o, ROOT10_CONJ)
+
+
+def test_corrupted_matrix_of_xi_raises(monkeypatch):
+    o = order_for(ROOT10)
+    assert ideal_to_matrix(unit_ideal(o)) == companion(ROOT10)
+    monkeypatch.setattr(latmac.latimer, "charpoly", lambda m: MonicIntPoly((1, 0, -11)))
+    with pytest.raises(CertificationError):
+        ideal_to_matrix(unit_ideal(o))
+
+
+def test_corrupted_cubic_enumeration_raises(monkeypatch):
+    true = latmac.latimer._frame_solutions
+
+    def corrupt(*args):
+        lane, x, y = true(*args)
+        return lane, x, y + 1
+
+    chi = MonicIntPoly((1, 0, -1, -1))
+    assert latmac.latimer.oracle_count_classes(chi, 2, 2) == 1
+    monkeypatch.setattr(latmac.latimer, "_frame_solutions", corrupt)
+    with pytest.raises(CertificationError):
+        latmac.latimer.oracle_count_classes(chi, 2, 2)
+
+
 def _run(flags, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -65,6 +94,8 @@ def _run(flags, argv):
     ["--format", "json", "conjugate",
      "--mat-a", json.dumps(matrix_to_json(companion(ROOT10))),
      "--mat-b", json.dumps(matrix_to_json(ROOT10_CONJ))],
+    ["classify", "--poly", "1,0,71"],
+    ["--format", "json", "classify", "--poly", "1,1,3,-1"],
 ])
 def test_optimized_interpreter_gives_same_answers(argv):
     plain = _run([], argv)

@@ -1,5 +1,8 @@
+import os
 import random
-from itertools import product
+import subprocess
+import sys
+from itertools import permutations, product
 
 import pytest
 
@@ -11,9 +14,10 @@ from latmac.ideal import (
 from latmac.latimer import (
     are_conjugate, classify, ideal_to_matrix, matrix_to_ideal,
     oracle_count_classes, order_for, xi_eigenvector,
-    _matrices_with_charpoly_3,
+    _group_3x3, _matrices_with_charpoly_3, _moves_3,
 )
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 ROOT10 = MonicIntPoly((1, 0, -10))
 GOLDEN = MonicIntPoly((1, -1, -1))
 
@@ -219,10 +223,147 @@ def naive_matrices_3(chi, h):
     return out
 
 
+def enumerated_rows(chi, h):
+    return {(tuple(v[:3]), tuple(v[3:6]), tuple(v[6:]))
+            for v in _matrices_with_charpoly_3(chi, h).tolist()}
+
+
 def test_cubic_enumeration_matches_naive_scan():
-    chi = MonicIntPoly((1, 0, -1, -1))
-    fast = {m.rows for m in _matrices_with_charpoly_3(chi, 2)}
-    assert fast == naive_matrices_3(chi, 2)
+    for coeffs in ((1, 0, -1, -1), (1, 1, 3, -1), (1, 1, -2, -1)):
+        chi = MonicIntPoly(coeffs)
+        assert enumerated_rows(chi, 2) == naive_matrices_3(chi, 2), coeffs
+
+
+def test_cubic_enumeration_is_sorted_and_unique():
+    vecs = _matrices_with_charpoly_3(MonicIntPoly((1, 1, 3, -1)), 2).tolist()
+    rows = list(map(tuple, vecs))
+    assert rows == sorted(set(rows))
+
+
+# Plain-Python breadth-first grouping over tuple-of-tuple matrices: the
+# reference for the vectorized _group_3x3.
+_PERMS3 = list(permutations(range(3)))
+_SIGNS3 = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]
+
+
+def reference_neighbors_3(rows, box):
+    out = []
+    for perm in _PERMS3:
+        out.append(tuple(tuple(rows[perm[i]][perm[j]] for j in range(3))
+                         for i in range(3)))
+    for s in _SIGNS3:
+        out.append(tuple(tuple(s[i] * rows[i][j] * s[j] for j in range(3))
+                         for i in range(3)))
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            for e in (1, -1):
+                cand = []
+                okay = True
+                for rr in range(3):
+                    row = []
+                    for cc in range(3):
+                        val = rows[rr][cc]
+                        if rr == i:
+                            val += e * rows[j][cc]
+                        if cc == j:
+                            val -= e * rows[rr][i] + (e * e * rows[j][i] if rr == i else 0)
+                        row.append(val)
+                        if abs(val) > box:
+                            okay = False
+                    cand.append(tuple(row))
+                if okay:
+                    out.append(tuple(cand))
+    return out
+
+
+def reference_group_3x3(mats, entry_bound, margin=4):
+    box = entry_bound + margin
+    remaining = set(mats)
+    count = 0
+    for seed in sorted(remaining):
+        if seed not in remaining:
+            continue
+        count += 1
+        remaining.discard(seed)
+        frontier = [seed]
+        visited = {seed}
+        while frontier and remaining:
+            nxt = []
+            for rows in frontier:
+                for cand in reference_neighbors_3(rows, box):
+                    if cand in visited:
+                        continue
+                    visited.add(cand)
+                    remaining.discard(cand)
+                    nxt.append(cand)
+            frontier = nxt
+    return count
+
+
+def test_move_maps_match_reference_neighbors():
+    import numpy as np
+    rng = random.Random(5)
+    box = 6
+    for _ in range(50):
+        rows = tuple(tuple(rng.randint(-box, box) for _ in range(3)) for _ in range(3))
+        vec = np.array([x for r in rows for x in r], dtype=np.int64)
+        moved = set()
+        for t in _moves_3():
+            v = (vec @ t).tolist()
+            if max(map(abs, v)) <= box:
+                moved.add((tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])))
+        assert moved | {rows} == set(reference_neighbors_3(rows, box)) | {rows}
+
+
+BENCH_ORACLE_CUBICS = [
+    (1, 0, -1, -1), (1, 0, -1, 1), (1, 0, 1, -1), (1, 0, 1, 1), (1, 1, -2, -1),
+    (1, 1, -2, 1), (1, 1, -1, 1), (1, 1, 0, -1), (1, 1, 0, 1), (1, 1, 1, -1),
+    (1, 1, 2, 1),
+]
+
+
+# X^3+X^2+3X-1 (disc -176) has two components at bound 2
+@pytest.mark.parametrize("coeffs", BENCH_ORACLE_CUBICS + [(1, 1, 3, -1)])
+def test_group_3x3_matches_reference_bfs(coeffs):
+    vecs = _matrices_with_charpoly_3(MonicIntPoly(coeffs), 2)
+    mats = {(tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])) for v in vecs.tolist()}
+    count = _group_3x3(vecs, 2)
+    assert count == reference_group_3x3(mats, 2)
+    assert count == (2 if coeffs == (1, 1, 3, -1) else 1)
+
+
+def test_oracle_imports_nothing_from_ideal_or_order(monkeypatch):
+    import latmac.ideal
+    import latmac.latimer
+    import latmac.order
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the ideal machinery")
+
+    for name, value in list(vars(latmac.latimer).items()):
+        if getattr(value, "__module__", None) in (latmac.ideal.__name__,
+                                                  latmac.order.__name__):
+            monkeypatch.setattr(latmac.latimer, name, forbidden)
+    monkeypatch.setattr(latmac.latimer, "order_for", forbidden)
+    assert oracle_count_classes(ROOT10, 10, 10) == 2
+    assert oracle_count_classes(MonicIntPoly((1, 1, 3, -1)), 2, 2) == 2
+
+
+def test_quadratic_oracle_does_not_import_numpy():
+    code = ("import sys, latmac; "
+            "latmac.oracle_count_classes(latmac.MonicIntPoly((1, 0, 5)), 6, 6); "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_order_for_cache_is_bounded():
+    assert order_for.cache_info().maxsize is not None
 
 
 def test_matrix_to_ideal_rejects_reducible_charpoly():
