@@ -407,6 +407,7 @@ def main(argv=None) -> int:
                     cache_dir=cache_dir, output_format=args.format,
                     degree_cap=args.degree_cap)
     try:
+        config.budget()  # a negative --budget is an input error for every command
         code, text = args.func(args, config)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

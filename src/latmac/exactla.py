@@ -1,9 +1,13 @@
 """Exact integer and rational linear algebra plus integer polynomial arithmetic.
 
-Everything here is arbitrary precision: Python ints for integer work,
-fractions.Fraction for rational elimination.  The lattice normal form used
-throughout the package is row-style Hermite normal form: upper triangular,
-positive pivots, entries above a pivot reduced modulo it.
+Everything here is arbitrary precision.  Integer work uses Python ints: the
+Bareiss determinant, the adjugate (field inverses are read off it), Hermite
+and Smith normal forms, and the one triangular solve against an HNF basis,
+HNFBasis.coordinates.  fractions.Fraction appears in kernel_rational, the one
+Gauss-Jordan elimination (rank counts its basis), and in the polynomial gcd
+over Q.  The lattice normal form used throughout the package is row-style
+Hermite normal form: upper triangular, positive pivots, entries above a pivot
+reduced modulo it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DegreeCapExceeded, RankDeficient
+from .errors import CertificationError, DegreeCapExceeded, RankDeficient
 
 DEGREE_CAP = 6
 
@@ -84,15 +88,6 @@ class MonicIntPoly:
 def poly_from_string(text: str) -> MonicIntPoly:
     """Parse comma-separated coefficients, highest degree first."""
     return MonicIntPoly(tuple(int(t.strip()) for t in text.split(",")))
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divmod_monic(num, den):
@@ -219,26 +214,8 @@ def det(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    """Exact rank over Q by fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in a.rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Exact rank over Q: n minus the dimension of the rational kernel."""
+    return a.n - len(kernel_rational(a))
 
 
 def kernel_rational(a: IntMatrix):
@@ -296,7 +273,8 @@ def charpoly(m: IntMatrix) -> MonicIntPoly:
     for k in range(1, n + 1):
         work = m * work
         tr = sum(work.rows[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise CertificationError("Faddeev-LeVerrier trace is not divisible")
         c = -tr // k
         coeffs.append(c)
         if k < n:
@@ -320,13 +298,11 @@ def sylvester_resultant(p, q) -> int:
     """Resultant of two integer coefficient sequences (highest degree first)."""
     dp = len(p) - 1
     dq = len(q) - 1
-    size = dp + dq
     rows = []
     for i in range(dq):
         rows.append([0] * i + list(p) + [0] * (dq - 1 - i))
     for i in range(dp):
         rows.append([0] * i + list(q) + [0] * (dp - 1 - i))
-    assert all(len(r) == size for r in rows)
     return det_bareiss(rows)
 
 
@@ -434,30 +410,27 @@ class HNFBasis:
         return out
 
     def contains(self, vec) -> bool:
-        """Membership by triangular solve. Exact."""
-        v = list(vec)
-        for i in range(self.n):
-            if v[i] % self.rows[i][i] != 0:
-                return False
-            q = v[i] // self.rows[i][i]
-            if q:
-                for j in range(i, self.n):
-                    v[j] -= q * self.rows[i][j]
-        return not any(v)
+        """Membership: vec has integer coordinates in this basis."""
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
-        """Integer coordinates of vec in this basis, or None."""
+        """Integer coordinates of vec in this basis, or None.
+
+        Triangular solve: step i zeroes entry i of the residual and touches
+        only later entries, so the divisibility checks decide membership.
+        """
         v = list(vec)
+        n = self.n
         coords = []
-        for i in range(self.n):
-            if v[i] % self.rows[i][i] != 0:
+        for i, row in enumerate(self.rows):
+            q, r = divmod(v[i], row[i])
+            if r:
                 return None
-            q = v[i] // self.rows[i][i]
             coords.append(q)
             if q:
-                for j in range(i, self.n):
-                    v[j] -= q * self.rows[i][j]
-        return tuple(coords) if not any(v) else None
+                for j in range(i + 1, n):
+                    v[j] -= q * row[j]
+        return tuple(coords)
 
 
 def _echelon_insert(basis, vec):
@@ -579,6 +552,18 @@ def snf(a: IntMatrix) -> SNFResult:
             v[k][j1] = x * v1 + y * v2
             v[k][j2] = ag * v2 - bg * v1
 
+    def clear_cross(t):
+        # zero row t and column t outside the pivot s[t][t]
+        while True:
+            for i in range(t + 1, n):
+                row_combine(t, i, t)
+            if all(s[t][j] == 0 for j in range(t + 1, n)):
+                return
+            for j in range(t + 1, n):
+                col_combine(t, j, t)
+            if all(s[i][t] == 0 for i in range(t + 1, n)):
+                return
+
     for t in range(n):
         # locate a nonzero pivot in the trailing block
         piv = None
@@ -598,15 +583,7 @@ def snf(a: IntMatrix) -> SNFResult:
             for k in range(n):
                 s[k][t], s[k][pj] = s[k][pj], s[k][t]
                 v[k][t], v[k][pj] = v[k][pj], v[k][t]
-        while True:
-            for i in range(t + 1, n):
-                row_combine(t, i, t)
-            if all(s[t][j] == 0 for j in range(t + 1, n)):
-                break
-            for j in range(t + 1, n):
-                col_combine(t, j, t)
-            if all(s[i][t] == 0 for i in range(t + 1, n)):
-                break
+        clear_cross(t)
         # enforce divisibility of the remaining block by the pivot
         while True:
             bad = None
@@ -622,15 +599,7 @@ def snf(a: IntMatrix) -> SNFResult:
             for k in range(n):
                 s[t][k] += s[bad][k]
                 u[t][k] += u[bad][k]
-            while True:
-                for i in range(t + 1, n):
-                    row_combine(t, i, t)
-                if all(s[t][j] == 0 for j in range(t + 1, n)):
-                    break
-                for j in range(t + 1, n):
-                    col_combine(t, j, t)
-                if all(s[i][t] == 0 for i in range(t + 1, n)):
-                    break
+            clear_cross(t)
         if s[t][t] < 0:
             for k in range(n):
                 s[t][k] = -s[t][k]

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import BudgetExceeded, CertificationError, ZeroIdeal
 from .exactla import HNFBasis, IntMatrix, adjugate, hnf
-from .order import FieldElement, Order
+from .order import FieldElement, Order, clear_denominators
 
 EQUIVALENT = "equivalent"
 INEQUIVALENT = "inequivalent"
@@ -46,6 +46,10 @@ class SearchBudget:
     coeff_bound: int = 4
     max_candidates: int = 500000
     max_steps: int = _CF_STEP_CAP
+
+    def __post_init__(self):
+        if self.coeff_bound < 0:
+            raise ValueError(f"search budget must be >= 0, got {self.coeff_bound}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -111,11 +115,9 @@ class FracIdeal:
         if z.is_zero():
             raise ZeroIdeal("scaling by zero")
         o = self.order
-        rows = [o.reduce_product(z.coords, r) for r in self.lattice.rows]
-        den = lcm(*(c.denominator for r in rows for c in r)) * self.den
-        scale = den // self.den
-        int_rows = [[int(c * scale) for c in r] for r in rows]
-        return make_ideal(o, int_rows, den)
+        int_rows, den = clear_denominators(
+            [o.reduce_product(z.coords, r) for r in self.lattice.rows])
+        return make_ideal(o, int_rows, den * self.den)
 
     def __repr__(self):
         return f"FracIdeal(den={self.den}, rows={self.lattice.rows})"
@@ -152,8 +154,7 @@ def ideal_from_generators(gens) -> FracIdeal:
         for _ in range(n):
             rows.append(tuple(cur))
             cur = o.xi_times(cur)
-    den = lcm(*(c.denominator for r in rows for c in r))
-    int_rows = [[int(c * den) for c in r] for r in rows]
+    int_rows, den = clear_denominators(rows)
     return make_ideal(o, int_rows, den)
 
 
@@ -323,8 +324,7 @@ def _equivalent_imaginary_quadratic(a, b):
     q11 = g1.norm()
     q22 = g2.norm()
     q12 = (g1 + g2).norm() - q11 - q22
-    den = lcm(q11.denominator, q12.denominator, q22.denominator, t.denominator)
-    aa, bb, cc, tt = (int(q11 * den), int(q12 * den), int(q22 * den), int(t * den))
+    [[aa, bb, cc, tt]], _ = clear_denominators([[q11, q12, q22, t]])
     disc = bb * bb - 4 * aa * cc
     if disc >= 0 or aa <= 0:
         raise CertificationError("norm form of (b : a) is not positive definite")
@@ -500,6 +500,8 @@ def class_monoid(order: Order, bound_override: int | None = None,
     The default bound is ceil(sqrt(|disc|)); results should be validated by
     re-running at a doubled bound and against the matrix oracle.
     """
+    if bound_override is not None and bound_override < 1:
+        raise ValueError(f"enumeration bound must be >= 1, got {bound_override}")
     bound = bound_override if bound_override is not None else default_bound(order)
     ideals = stable_sublattices(order, bound, max_count)
     ideals.sort(key=lambda a: (a.lattice.determinant(), a.lattice.rows))

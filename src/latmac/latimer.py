@@ -2,8 +2,9 @@
 a fixed irreducible characteristic polynomial against ideal classes of Z[xi].
 
 matrix_to_ideal sends M to the Z-span of the entries of an integral
-xi-eigenvector; ideal_to_matrix writes multiplication by xi on an ideal
-basis.  are_conjugate decides conjugacy through ideal equivalence and
+xi-eigenvector, read off column 0 of adj(xi I - M) by integer mat-vecs;
+ideal_to_matrix writes multiplication by xi on an ideal basis by the
+triangular solve against its HNF.  are_conjugate decides conjugacy through ideal equivalence and
 reconstructs a verified unimodular witness.  oracle_count_classes is the
 independent brute-force check: it never touches the ideal machinery.  In
 degree 3 it enumerates every matrix with the charpoly and entries in [-h, h]
@@ -16,7 +17,6 @@ conjugate matrices.  Its numpy kernels import numpy on first use only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
@@ -27,7 +27,7 @@ from .ideal import (
     DEFAULT_BUDGET, EQUIVALENT, INEQUIVALENT, ClassMonoid, FracIdeal,
     IdealClass, SearchBudget, class_monoid, is_equivalent, make_ideal,
 )
-from .order import FieldElement, Order, OrderElement
+from .order import FieldElement, Order, OrderElement, clear_denominators
 
 
 @lru_cache(maxsize=1024)
@@ -67,64 +67,35 @@ class ClassInventory:
 
 
 def xi_eigenvector(order: Order, m: IntMatrix) -> Eigenvector:
-    """Solve (M - xi I) v = 0 over K and scale to a primitive integral vector."""
+    """Column 0 of adj(xi I - M), scaled to a primitive integral vector.
+
+    adj(X I - M) = sum_k B_k X^k with B_{n-1} = I and B_{k-1} = M B_k + c_k I,
+    chi = X^n + ... + c_1 X + c_0 (Taussky, Canad. J. Math. 1, 1949).  So
+    b_k = B_k e_0 costs n - 1 integer mat-vecs, and entry i of the column has
+    power-basis coordinates (b_0[i], ..., b_{n-1}[i]).  Its xi^(n-1)
+    coordinate is b_{n-1}[0] = 1, so the column is never zero.  The closing
+    step M b_0 + c_0 e_0 = chi(M) e_0 vanishes iff charpoly(M) = chi, since
+    chi is irreducible.  Scaling makes entry 0 equal 1 (the companion matrix
+    then maps to the unit ideal), clears denominators and divides out the
+    content.
+    """
     n = order.n
     if m.n != n:
         raise ValueError("matrix size does not match the order degree")
-    zero = Fraction(0)
-    xi = tuple(Fraction(1) if i == 1 else zero for i in range(n))
-
-    def fe(c):
-        return FieldElement(order, c)
-
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coords = [Fraction(m.rows[i][j]) if k == 0 else zero for k in range(n)]
-            if i == j:
-                coords = [c - x for c, x in zip(coords, xi)]
-            row.append(fe(tuple(coords)))
-        rows.append(row)
-
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    low = order.chi.coeffs[::-1]  # c_0, ..., c_{n-1}, 1
+    cols = [(1,) + (0,) * (n - 1)]  # b_{n-1}, b_{n-2}, ..., b_0
+    for k in range(n - 1, 0, -1):
+        b = m.mul_vec(cols[-1])
+        cols.append((b[0] + low[k],) + b[1:])
+    closing = m.mul_vec(cols[-1])
+    if closing[0] + low[0] or any(closing[1:]):
         raise ReduciblePolynomial(
-            "eigenspace dimension is not 1; characteristic polynomial reducible")
-    fc = free[0]
-    vec = [fe((zero,) * n) for _ in range(n)]
-    vec[fc] = fe(tuple(Fraction(1) if k == 0 else zero for k in range(n)))
-    for col, prow in pivots.items():
-        vec[col] = -rows[prow][fc]
-    # normalize so the first entry is 1 (nonzero since 1, xi, ..., xi^(n-1)
-    # are Q-independent); the companion matrix then maps to the unit ideal
+            "xi is not an eigenvalue of M: its charpoly is not chi")
+    cols.reverse()
+    vec = [FieldElement(order, tuple(b[i] for b in cols)) for i in range(n)]
     inv0 = vec[0].inverse()
-    vec = [e * inv0 for e in vec]
-
-    den = 1
-    for e in vec:
-        for c in e.coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [[int(c * den) for c in e.coords] for e in vec]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, x)
+    ints, _ = clear_denominators([(e * inv0).coords for e in vec])
+    g = gcd(*(x for row in ints for x in row))
     entries = tuple(OrderElement(order, tuple(x // g for x in row)) for row in ints)
     xi_el = order.xi()
     for i in range(n):
@@ -152,20 +123,12 @@ def ideal_to_matrix(a: FracIdeal) -> IntMatrix:
     Row i holds the integer coefficients of xi * w_i over the basis (w_j).
     """
     o = a.order
-    n = o.n
-    w = IntMatrix(a.lattice.rows)
-    x_rows = [tuple(o.xi_times(r)) for r in a.lattice.rows]
-    adj = adjugate(w)
-    d = a.lattice.determinant()
     out = []
-    for r in x_rows:
-        prod_row = []
-        for j in range(n):
-            s = sum(r[k] * adj.rows[k][j] for k in range(n))
-            if s % d:
-                raise CertificationError("xi * a is not integral on the basis of a")
-            prod_row.append(s // d)
-        out.append(tuple(prod_row))
+    for w in a.lattice.rows:
+        row = a.lattice.coordinates(o.xi_times(w))
+        if row is None:
+            raise CertificationError("xi * a is not integral on the basis of a")
+        out.append(row)
     m = IntMatrix(tuple(out))
     if charpoly(m) != o.chi:
         raise CertificationError("matrix of xi has the wrong charpoly")
@@ -194,12 +157,7 @@ def are_conjugate(m: IntMatrix, n_mat: IntMatrix,
     z = res.witness
     n = o.n
     # scale z so that z * v_m has integral entries spanning the same lattice
-    w_entries = [z * e.to_field() for e in v_m.entries]
-    den = 1
-    for e in w_entries:
-        for c in e.coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-    ww = [[int(c * den) for c in e.coords] for e in w_entries]
+    ww, den = clear_denominators([(z * e.to_field()).coords for e in v_m.entries])
     wn = [list(e.coords) for e in v_n.entries]
     # solve ww = P * wn over Z; den divides out because both span z*a_m scaled
     adj = adjugate(IntMatrix(tuple(tuple(r) for r in wn)))

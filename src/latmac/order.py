@@ -2,7 +2,10 @@
 
 Elements live on the power basis 1, xi, ..., xi^(n-1).  OrderElement carries
 integer coordinates, FieldElement rational ones; both reduce products through
-the same precomputed table of xi-power coordinates.
+the same precomputed table of xi-power coordinates.  Norms and inverses read
+off the integer matrix of multiplication, cleared of denominators by
+clear_denominators: the norm is its determinant and the inverse is row 0 of
+its adjugate over the determinant, so no polynomial Euclid runs over Q.
 """
 
 from __future__ import annotations
@@ -13,8 +16,16 @@ from math import lcm
 
 from .errors import ReduciblePolynomial
 from .exactla import (
-    MonicIntPoly, companion, det_bareiss, discriminant, is_irreducible,
+    IntMatrix, MonicIntPoly, adjugate, companion, det_bareiss, discriminant,
+    is_irreducible,
 )
+
+
+def clear_denominators(rows):
+    """(int_rows, den): den is the least positive integer that makes every
+    entry of rows integral, and int_rows is den * rows as lists of ints."""
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
 
 
 class Order:
@@ -178,9 +189,7 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         """Determinant of multiplication by self on the power basis."""
-        rows = self.mul_matrix_rows()
-        den = lcm(*(c.denominator for r in rows for c in r))
-        int_rows = [[int(c * den) for c in r] for r in rows]
+        int_rows, den = clear_denominators(self.mul_matrix_rows())
         return Fraction(det_bareiss(int_rows), den ** self.order.n)
 
     def trace(self) -> Fraction:
@@ -188,53 +197,21 @@ class FieldElement:
         return sum(rows[i][i] for i in range(self.order.n))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by extended Euclid against chi over Q."""
+        """Multiplicative inverse: row 0 of den * adj(A) / det(A).
+
+        x -> x . R is multiplication by self for R = mul_matrix_rows(), and
+        A = den * R is its cleared integer matrix, so 1/self = e_0 . R^-1 =
+        den * e_0 . adj(A) / det(A).  det(A) expands column 0 of A against
+        that row.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        # run xgcd on (lift of self, chi); degrees low-first here
-        n = self.order.n
-        chi_low = [Fraction(c) for c in reversed(self.order.chi.coeffs)]
-        a = list(self.coords)
-
-        def deg(p):
-            d = len(p) - 1
-            while d >= 0 and p[d] == 0:
-                d -= 1
-            return d
-
-        def times(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, x in enumerate(p):
-                if x:
-                    for j, y in enumerate(q):
-                        out[i + j] += x * y
-            return out
-
-        r0, r1 = chi_low, a + [Fraction(0)]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            quot = [Fraction(0)] * (d0 - d1 + 1)
-            rem = list(r0)
-            for k in range(d0 - d1, -1, -1):
-                c = rem[d1 + k] / r1[d1]
-                quot[k] = c
-                if c:
-                    for i in range(d1 + 1):
-                        rem[i + k] -= c * r1[i]
-            r0, r1 = r1, rem
-            qs = times(quot, s1)
-            news = [Fraction(0)] * max(len(s0), len(qs))
-            for i, x in enumerate(s0):
-                news[i] += x
-            for i, x in enumerate(qs):
-                news[i] -= x
-            s0, s1 = s1, news
-        if deg(r1) != 0:
+        int_rows, den = clear_denominators(self.mul_matrix_rows())
+        adj0 = adjugate(IntMatrix(int_rows)).rows[0]
+        d = sum(a * r[0] for a, r in zip(adj0, int_rows))
+        if d == 0:
             raise ZeroDivisionError("element shares a factor with chi")
-        c = r1[deg(r1)]
-        inv = [x / c for x in s1[:n]] + [Fraction(0)] * max(0, n - len(s1))
-        return FieldElement(self.order, tuple(inv[:n]))
+        return FieldElement(self.order, tuple(Fraction(den * a, d) for a in adj0))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()

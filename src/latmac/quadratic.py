@@ -37,7 +37,9 @@ class PellSolution:
     minimal: bool = True
 
     def __post_init__(self):
-        assert self.a * self.a - self.d * self.b * self.b == 4
+        if self.a * self.a - self.d * self.b * self.b != 4:
+            raise CertificationError(
+                f"a^2 - d b^2 != 4 for (d, a, b) = ({self.d}, {self.a}, {self.b})")
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,13 @@ def quad_class_number(d: int, bound_override: int | None = None) -> QuadOrderInf
     chi = maximal_order_poly(d)
     disc = d if d % 4 == 1 else 4 * d
     order = order_for(chi)
-    assert order.disc == disc
+    if order.disc != disc:
+        raise CertificationError(f"order discriminant {order.disc}, expected {disc}")
     cm = class_monoid(order, bound_override)
     pell = solve_pell4(d)
     mat = IntMatrix(((-pell.a, -1), (1, 0)))
-    assert charpoly(mat) == MonicIntPoly((1, pell.a, 1))
+    if charpoly(mat) != MonicIntPoly((1, pell.a, 1)):
+        raise CertificationError("Pell matrix has the wrong charpoly")
     return QuadOrderInfo(d, disc, cm.picard_size, mat)
 
 

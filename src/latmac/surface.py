@@ -11,10 +11,12 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import (
-    InvalidGenus, InvalidHom, NotPrimitive, SwitchViolation, ZeroVector,
+    CertificationError, InvalidGenus, InvalidHom, NotPrimitive, SwitchViolation,
+    ZeroVector,
 )
 from .exactla import (
-    IntMatrix, MonicIntPoly, charpoly, det_bareiss, det_cofactor, rank, snf,
+    IntMatrix, MonicIntPoly, _poly_divmod_monic, charpoly, det_bareiss,
+    det_cofactor, rank, snf,
 )
 from .ideal import FracIdeal, ideal_from_generators
 from .latimer import matrix_to_ideal, order_for, xi_eigenvector
@@ -93,10 +95,12 @@ def verify_genus3() -> Genus3Report:
     m = genus3_matrix()
     diff = m - IntMatrix.identity(6)
     r = rank(diff)
-    assert r == 2, f"rank(M - I) = {r}, expected 2"
+    if r != 2:
+        raise CertificationError(f"rank(M - I) = {r}, expected 2")
     d1 = det_bareiss(m.rows)
     d2 = det_cofactor([list(row) for row in m.rows])
-    assert d1 == d2
+    if d1 != d2:
+        raise CertificationError(f"det(M) = {d1} by Bareiss, {d2} by cofactors")
     return Genus3Report(r, d1, d1 == d2, charpoly(m))
 
 
@@ -244,7 +248,8 @@ def cover_genus(cover: TwoCover) -> int:
     ngen = len(index)
     for start in (0, 1):
         word, end = rewrite(relator, start)
-        assert end == start
+        if end != start:
+            raise CertificationError("the relator does not close in the cover")
         row = [0] * ngen
         for letter in word:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
@@ -257,7 +262,8 @@ def cover_genus(cover: TwoCover) -> int:
     if any(abs(d) != 1 for d in nonzero):
         raise InvalidHom("unexpected torsion in the cover abelianization")
     betti = ngen - len(nonzero)
-    assert betti % 2 == 0
+    if betti % 2:
+        raise CertificationError(f"odd first Betti number {betti} of the cover")
     return betti // 2
 
 
@@ -358,18 +364,7 @@ def _sturm_chain(p: MonicIntPoly):
     chain.append([Fraction(c) for c in p.derivative()])
     while True:
         a, b = chain[-2], chain[-1]
-        if not any(b):
-            chain.pop()
-            break
-        rem = list(a)
-        while len(rem) >= len(b) and any(rem):
-            if rem[0] == 0:
-                rem.pop(0)
-                continue
-            f = rem[0] / b[0]
-            for i in range(1, len(b)):
-                rem[i] -= f * b[i]
-            rem.pop(0)
+        _, rem = _poly_divmod_monic(a, [c / b[0] for c in b])
         while rem and rem[0] == 0:
             rem.pop(0)
         if not rem:

@@ -96,6 +96,7 @@ def _run(flags, argv):
      "--mat-b", json.dumps(matrix_to_json(ROOT10_CONJ))],
     ["classify", "--poly", "1,0,71"],
     ["--format", "json", "classify", "--poly", "1,1,3,-1"],
+    ["verify-example"],
 ])
 def test_optimized_interpreter_gives_same_answers(argv):
     plain = _run([], argv)

@@ -156,6 +156,25 @@ def test_unknown_verdict_yields_exit_two(capsys):
     assert "unknown_pairs\t1" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("cmd", ["classify", "icm"])
+def test_bound_below_one_is_input_error(capsys, cmd, bound):
+    # X^2+5 has class number 2; a bound below 1 used to print an empty list
+    code = main(["--bound", bound, cmd, "--poly", "1,0,5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "bound" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["classify", "pell"])
+def test_negative_budget_is_input_error(capsys, cmd):
+    argv = ["classify", "--poly", "1,0,-1,-1"] if cmd == "classify" else ["pell", "--d", "5"]
+    code = main(["--budget", "-1", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "budget" in captured.err
+
+
 def test_inventory_round_trip(capsys):
     from latmac.cli import ideal_from_json
     code, out = run_cli(["--format", "json", "classify", "--poly", "1,0,-10"],

@@ -1,0 +1,206 @@
+"""Property tests for the exact core: the adjugate eigenvector against a
+reference Gauss-Jordan solve over K, the charpoly guard, the HNF triangular
+solve, and field inversion."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from latmac.errors import RankDeficient, ReduciblePolynomial
+from latmac.exactla import IntMatrix, MonicIntPoly, adjugate, det_bareiss, hnf
+from latmac.ideal import stable_sublattices
+from latmac.latimer import ideal_to_matrix, xi_eigenvector
+from latmac.order import FieldElement, Order
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+# irreducible polynomials that are not Eisenstein, degrees 2-4
+FIXED = [
+    (1, -1, -1), (1, 0, 5), (1, 1, 3), (1, 0, -10), (1, 0, -1, -1),
+    (1, 0, -2, -5), (1, 1, 3, -1), (1, 1, -2, -1), (1, 0, 0, -2),
+    (1, 0, 0, -1, -1), (1, 1, 1, 1, 1), (1, 0, -1, 0, -1),
+]
+
+
+@st.composite
+def eisenstein(draw, degrees):
+    """Monic p-Eisenstein polynomials, hence irreducible, for p in (2, 3)."""
+    n = draw(st.sampled_from(degrees))
+    p = draw(st.sampled_from((2, 3)))
+    mid = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    unit = draw(st.integers(-3, 3).filter(lambda u: u % p))
+    return Order(MonicIntPoly((1, *(p * a for a in mid), p * unit)), check=False)
+
+
+def orders(degrees):
+    fixed = [Order(MonicIntPoly(c), check=False)
+             for c in FIXED if len(c) - 1 in degrees]
+    return st.one_of(st.sampled_from(fixed), eisenstein(degrees))
+
+
+@st.composite
+def conjugated_ideal_matrix(draw):
+    """(order, U M U^-1) for M the matrix of xi on a small stable lattice."""
+    o = draw(orders((2, 3, 4)))
+    n = o.n
+    ideals = stable_sublattices(o, {2: 12, 3: 6, 4: 3}[n])
+    rows = [list(r) for r in ideal_to_matrix(draw(st.sampled_from(ideals))).rows]
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from((-2, -1, 1, 2)))
+    for i, j, c in draw(st.lists(moves, max_size=6)):
+        if i == j:
+            continue
+        # conjugate by E = I + c e_ij: row i += c row j, then col j -= c col i
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= c * r[i]
+    return o, IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def _reference_inverse(x):
+    """Extended Euclid of x against chi over Q, coefficients low first."""
+    n = x.order.n
+    r0 = [Fraction(c) for c in reversed(x.order.chi.coeffs)]
+    r1 = list(x.coords) + [Fraction(0)]
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+
+    def deg(p):
+        return max((i for i, c in enumerate(p) if c), default=-1)
+
+    while deg(r1) > 0:
+        d0, d1 = deg(r0), deg(r1)
+        quot = [Fraction(0)] * (d0 - d1 + 1)
+        rem = list(r0)
+        for k in range(d0 - d1, -1, -1):
+            c = rem[d1 + k] / r1[d1]
+            quot[k] = c
+            for i in range(d1 + 1):
+                rem[i + k] -= c * r1[i]
+        news = s0 + [Fraction(0)] * (len(quot) + len(s1))
+        for i, a in enumerate(quot):
+            for j, b in enumerate(s1):
+                news[i + j] -= a * b
+        r0, r1, s0, s1 = r1, rem, s1, news
+    c = r1[0]
+    inv = [a / c for a in s1] + [Fraction(0)] * n
+    return FieldElement(x.order, tuple(inv[:n]))
+
+
+def _reference_eigenvector(o, m):
+    """Gauss-Jordan on M - xi I over K, then entry 0 scaled to 1, denominators
+    cleared and the content divided out."""
+    n = o.n
+    zero = (Fraction(0),) * n
+
+    def const(c):
+        return FieldElement(o, (Fraction(c),) + zero[1:])
+
+    xi = FieldElement(o, tuple(Fraction(int(k == 1)) for k in range(n)))
+    rows = [[const(m.rows[i][j]) - (xi if i == j else const(0))
+             for j in range(n)] for i in range(n)]
+    pivots = {}
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = _reference_inverse(rows[r][col])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots[col] = r
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ReduciblePolynomial("eigenspace dimension is not 1")
+    vec = [const(0) for _ in range(n)]
+    vec[free[0]] = const(1)
+    for col, prow in pivots.items():
+        vec[col] = -rows[prow][free[0]]
+    inv0 = _reference_inverse(vec[0])
+    vec = [e * inv0 for e in vec]
+    den = 1
+    for e in vec:
+        for c in e.coords:
+            den = den * c.denominator // gcd(den, c.denominator)
+    ints = [[int(c * den) for c in e.coords] for e in vec]
+    g = 0
+    for row in ints:
+        for x in row:
+            g = gcd(g, x)
+    return tuple(tuple(x // g for x in row) for row in ints)
+
+
+@PROPERTY
+@given(conjugated_ideal_matrix())
+def test_adjugate_eigenvector_matches_gauss_jordan(case):
+    o, m = case
+    v = xi_eigenvector(o, m)
+    assert tuple(e.coords for e in v.entries) == _reference_eigenvector(o, m)
+
+
+@PROPERTY
+@given(conjugated_ideal_matrix(), st.integers(0, 3), st.sampled_from((-2, -1, 1, 2)))
+def test_wrong_charpoly_raises_reducible(case, pos, shift):
+    """Shifting a diagonal entry by s changes the charpoly by -s times a monic
+    principal minor, so xi is no eigenvalue of the shifted matrix."""
+    o, m = case
+    i = pos % o.n
+    rows = [list(r) for r in m.rows]
+    rows[i][i] += shift
+    bad = IntMatrix(tuple(tuple(r) for r in rows))
+    with pytest.raises(ReduciblePolynomial):
+        _reference_eigenvector(o, bad)
+    with pytest.raises(ReduciblePolynomial):
+        xi_eigenvector(o, bad)
+
+
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         min_size=n, max_size=n + 2))
+    try:
+        return hnf(gens)
+    except RankDeficient:
+        assume(False)
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_hnf_coordinates_round_trip(basis, data):
+    n = basis.n
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    v = [sum(c * r[k] for c, r in zip(coeffs, basis.rows)) for k in range(n)]
+    assert basis.coordinates(v) == tuple(coeffs)
+    assert basis.contains(v)
+    # off the lattice: w is in it iff w . adj(B) is divisible by det(B)
+    w = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    adj = adjugate(IntMatrix(basis.rows))
+    d = det_bareiss(basis.rows)
+    member = all(sum(w[k] * adj.rows[k][j] for k in range(n)) % d == 0
+                 for j in range(n))
+    coords = basis.coordinates(w)
+    assert (coords is not None) == member == basis.contains(w)
+    if coords is not None:
+        assert [sum(c * r[k] for c, r in zip(coords, basis.rows))
+                for k in range(n)] == w
+
+
+@PROPERTY
+@given(orders((2, 3, 4, 5, 6)), st.data())
+def test_inverse_times_self_is_one(o, data):
+    n = o.n
+    coords = data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=n, max_size=n))
+    x = FieldElement(o, tuple(coords))
+    assume(not x.is_zero())
+    inv = x.inverse()
+    assert x * inv == FieldElement(o, (1,) + (0,) * (n - 1))
+    assert inv == _reference_inverse(x)
