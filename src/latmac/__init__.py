@@ -4,7 +4,7 @@ via ideal classes of Z[xi], with Pell, class-number and surface-cover tools."""
 __version__ = "0.1.0"
 
 from .exactla import (
-    HNFBasis, IntMatrix, MonicIntPoly, SNFResult, charpoly, companion, det,
+    HNFBasis, IntMatrix, MonicIntPoly, SNFResult, charpoly, companion,
     discriminant, hnf, is_irreducible, kernel_rational, poly_from_string,
     rank, snf,
 )

@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="latmac",
         description="Exact GL_n(Z)-conjugacy classification via ideal classes")
     parser.add_argument("--bound", type=int, default=None,
-                        help="override the ideal enumeration bound")
+                        help="raise the ideal enumeration bound above "
+                             "its default ceil(sqrt|disc|)")
     parser.add_argument("--budget", type=int, default=4,
                         help="coefficient bound for degree >= 3 witness search")
     parser.add_argument("--cache-dir", default=None,

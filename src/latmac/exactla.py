@@ -1,13 +1,17 @@
 """Exact integer and rational linear algebra plus integer polynomial arithmetic.
 
-Everything here is arbitrary precision.  Integer work uses Python ints: the
-Bareiss determinant, the adjugate (field inverses are read off it), Hermite
-and Smith normal forms, and the one triangular solve against an HNF basis,
-HNFBasis.coordinates.  fractions.Fraction appears in kernel_rational, the one
-Gauss-Jordan elimination (rank counts its basis), and in the polynomial gcd
-over Q.  The lattice normal form used throughout the package is row-style
-Hermite normal form: upper triangular, positive pivots, entries above a pivot
-reduced modulo it.
+Everything here is arbitrary precision.  One fraction-free elimination runs
+every solve: _bareiss, a forward Bareiss pass on [A | B], then exact integer
+back-substitution.  det_bareiss, rank, kernel_rational (Fractions only in its
+output), solve and adjugate go through it, and so do field inverses, colon
+lattices and conjugacy witnesses elsewhere; det_cofactor stays as an
+independent cross-check.  Hermite and Smith normal forms and the triangular
+solve against an HNF basis, HNFBasis.coordinates, are separate integer
+routines.  One remainder sequence over Q gives poly_gcd_rational and the
+Sturm sequence behind real_roots, which isolates every real root in
+certified rational intervals.  The lattice normal form used throughout the
+package is row-style Hermite normal form: upper triangular, positive pivots,
+entries above a pivot reduced modulo it.
 """
 
 from __future__ import annotations
@@ -105,24 +109,79 @@ def _poly_divmod_monic(num, den):
     return quot, num
 
 
+def _remainder_sequence(a, b):
+    """[a, b, -rem(a, b), ...] over Q, each further term minus the remainder
+    of the two before it, up to the last nonzero one: a constant multiple of
+    gcd(a, b).  For b = a' it is the Sturm sequence of a.  Terms are lists of
+    Fractions without leading zeros."""
+    def strip(p):
+        return p[next((i for i, c in enumerate(p) if c), len(p)):]
+
+    seq = [strip([Fraction(c) for c in a]), strip([Fraction(c) for c in b])]
+    while seq[-1]:
+        _, rem = _poly_divmod_monic(seq[-2], [c / seq[-1][0] for c in seq[-1]])
+        seq.append(strip([-c for c in rem]))
+    return seq[:-1]
+
+
 def poly_gcd_rational(a, b):
     """Monic gcd over Q of two integer polynomial coefficient sequences."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while any(b):
-        while b and b[0] == 0:
-            b.pop(0)
-        if not b:
-            break
-        lead = b[0]
-        bm = [c / lead for c in b]
-        _, r = _poly_divmod_monic(a, bm)
-        a, b = bm, r
-    while a and a[0] == 0:
-        a.pop(0)
-    if not a:
-        return []
-    return [c / a[0] for c in a]
+    g = _remainder_sequence(a, b)[-1]
+    return [c / g[0] for c in g]
+
+
+def _sign_changes(seq, x) -> int:
+    """Sign changes along the values of the polynomials seq at x, zeros
+    dropped."""
+    signs = []
+    for p in seq:
+        acc = 0
+        for c in p:
+            acc = acc * x + c
+        if acc:
+            signs.append(acc > 0)
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def real_roots(p: MonicIntPoly, width: Fraction = Fraction(1, 10 ** 8)):
+    """Certified intervals (lo, hi] of length <= width, one around each
+    distinct real root of p, in ascending order.
+
+    Sturm counts bisect (-B, B], B = 1 + max |c|, until a half holds one
+    root.  If p changes sign over it, bisection on the sign of p refines it,
+    returning (x, x) when it meets the root x; otherwise (a multiple root,
+    or one at the upper end) Sturm bisection goes on down to width.
+    """
+    seq = _remainder_sequence(p.coeffs, p.derivative())
+    # dividing out gcd(p, p') = seq[-1] keeps the counts right at a
+    # multiple root, where every term of seq vanishes
+    g = [c / seq[-1][0] for c in seq[-1]]
+    seq = [_poly_divmod_monic(t, g)[0] for t in seq]
+    out = []
+
+    def isolate(lo, hi, vlo, vhi):
+        mid = (lo + hi) / 2
+        vmid = _sign_changes(seq, mid)
+        for a, b, va, vb in ((lo, mid, vlo, vmid), (mid, hi, vmid, vhi)):
+            if va - vb == 1 and (b - a <= width or p(a) * p(b) < 0):
+                while b - a > width:
+                    x = (a + b) / 2
+                    v = p(x)
+                    if v == 0:
+                        a = b = x
+                    elif p(a) * v < 0:
+                        b = x
+                    else:
+                        a = x
+                out.append((a, b))
+            elif va > vb:
+                isolate(a, b, va, vb)
+
+    bound = Fraction(1 + max(abs(c) for c in p.coeffs))
+    vlo, vhi = _sign_changes(seq, -bound), _sign_changes(seq, bound)
+    if vlo > vhi:
+        isolate(-bound, bound, vlo, vhi)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +230,77 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
 
-def det_bareiss(rows) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [list(r) for r in rows]
+def _bareiss(a, ncols: int):
+    """Fraction-free forward elimination on the list of integer rows a.
+
+    Pivots run left to right over the first ncols <= len(a) columns, with
+    row swaps; a column with no pivot left is free, and later columns ride
+    along.  Each step updates the trailing columns of the rows below its
+    pivot and divides by the previous pivot.  Every entry stays a minor of
+    the input, so each division is exact (Bareiss, Math. Comp. 22, 1968);
+    entries left of a row's pivot go stale.  The first pivot step copies the
+    rows it writes, so the rows passed in are never modified.  Returns the
+    free columns and the sign of the row permutation; that sign times the
+    last pivot is the determinant of the pivot rows on the pivot columns.
+    """
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
+    sign = prev = 1
+    free = []
+    for k in range(ncols):
+        r = k - len(free)
+        top = a[r]
+        if top[k] == 0:
+            for i in range(r + 1, n):
                 if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
+                    a[r], a[i] = a[i], top
+                    top = a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                free.append(k)
+                continue
+        p = top[k]
+        for i in range(r + 1, n):
+            a[i] = row = a[i] if r else [*a[i]]
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return free, sign
+
+
+def _back_substitute(a, pivots, cols, d):
+    """y[i][c] = d * x[pivots[i]], for x the solution of the echelon system
+    that _bareiss left in a, restricted to the pivot columns, with column
+    cols[c] as its right-hand side.  Each division is exact when d * x is
+    integral, as it is for d = +-(last pivot) by Cramer's rule."""
+    y = []
+    for i in range(len(pivots) - 1, -1, -1):
+        row = a[i]
+        later = list(zip(pivots[i + 1:], y))
+        y.insert(0, [(d * row[col] - sum(row[p] * z[c] for p, z in later))
+                     // row[pivots[i]] for c, col in enumerate(cols)])
+    return y
+
+
+def solve(a_rows, b_rows):
+    """(det A, det A * A^-1 B) for a square integer A and an integer B with as
+    many rows: one Bareiss pass on [A | B], then back-substitution, all in
+    integers.  Raises ZeroDivisionError when A is singular."""
+    n = len(a_rows)
+    m = [(*r, *s) for r, s in zip(a_rows, b_rows)]
+    free, sign = _bareiss(m, n)
+    if free:
+        raise ZeroDivisionError("singular matrix")
+    d = sign * m[-1][n - 1]
+    return d, _back_substitute(m, range(n), range(n, len(m[0])), d)
+
+
+def det_bareiss(rows) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix."""
+    a = list(rows)
+    free, sign = _bareiss(a, len(a) - 1)  # the last pivot is the last entry
+    return 0 if free else sign * a[-1][-1]
 
 
 def det_cofactor(rows) -> int:
@@ -209,57 +319,36 @@ def det_cofactor(rows) -> int:
     return total
 
 
-def det(a: IntMatrix) -> int:
-    return det_bareiss(a.rows)
-
-
 def rank(a: IntMatrix) -> int:
-    """Exact rank over Q: n minus the dimension of the rational kernel."""
-    return a.n - len(kernel_rational(a))
+    """Exact rank over Q: the number of Bareiss pivots."""
+    return a.n - len(_bareiss(list(a.rows), a.n)[0])
 
 
 def kernel_rational(a: IntMatrix):
-    """Basis of the right kernel of a over Q, as tuples of Fractions."""
+    """Basis of the right kernel of a over Q, as tuples of Fractions.
+
+    One vector per free column f, with entry 1 at f, 0 at the other free
+    columns and its pivot entries from back-substitution: the reduced row
+    echelon basis.
+    """
     n = a.n
-    m = [[Fraction(x) for x in row] for row in a.rows]
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
+    m = list(a.rows)
+    free, _ = _bareiss(m, n)
+    pivots = [c for c in range(n) if c not in free]
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = _back_substitute(m, pivots, free, d)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for col, prow in pivots.items():
-            vec[col] = -m[prow][fc]
+    for c, f in enumerate(free):
+        vec = [Fraction(int(j == f)) for j in range(n)]
+        for col, yc in zip(pivots, y):
+            vec[col] = Fraction(-yc[c], d)
         basis.append(tuple(vec))
     return basis
 
 
 def adjugate(a: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(a) * a = det(a) * I, computed by cofactors."""
-    n = a.n
-    rows = [list(r) for r in a.rows]
-    if n == 1:
-        return IntMatrix(((1,),))
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            cof[i][j] = (-1) ** (i + j) * det_bareiss(minor)
-    return IntMatrix(tuple(zip(*cof)))
+    """Adjugate det(a) * a^-1 of a nonsingular matrix, by solve(a, I)."""
+    return IntMatrix(solve(a.rows, IntMatrix.identity(a.n).rows)[1])
 
 
 def charpoly(m: IntMatrix) -> MonicIntPoly:

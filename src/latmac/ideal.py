@@ -147,14 +147,8 @@ def ideal_from_generators(gens) -> FracIdeal:
     if not gens:
         raise ZeroIdeal("all generators are zero")
     o = gens[0].order
-    n = o.n
-    rows = []
-    for g in gens:
-        cur = list(g.coords)
-        for _ in range(n):
-            rows.append(tuple(cur))
-            cur = o.xi_times(cur)
-    int_rows, den = clear_denominators(rows)
+    int_rows, den = clear_denominators(
+        [r for g in gens for r in o.mul_matrix(g.coords)])
     return make_ideal(o, int_rows, den)
 
 
@@ -181,31 +175,24 @@ def ideal_norm(a: FracIdeal) -> Fraction:
 def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
     """The lattice {z in K : z*b subset of a}, by the dual-lattice method.
 
-    Each membership condition z*beta_j in a is an integrality condition on
-    the coordinates of z; the solution set is Q times the dual of the column
-    span of the stacked condition matrices.
+    With A the HNF basis of a and R_j the integer matrix of multiplication
+    by the basis row beta_j of b, z*b lies in a iff z . a.den R_j adj(A) is
+    divisible by q = det(A) * b.den for every j.  So z/q lies in the dual of
+    the lattice H spanned by the columns of the a.den R_j adj(A): the rows
+    of adj(H^T) / det(H).
     """
     if a.order != b.order:
         raise ValueError("ideals of different orders")
     o = a.order
-    n = o.n
-    amat = IntMatrix(a.lattice.rows)
-    adj_a = adjugate(amat)
-    det_a = a.lattice.determinant()
-    q = det_a * b.den
+    adj_a = adjugate(IntMatrix(a.lattice.rows))
     cols = []
     for beta in b.lattice.rows:
-        rmat = FieldElement(o, tuple(Fraction(x) for x in beta)).mul_matrix_rows()
-        r_int = IntMatrix(tuple(tuple(int(c) for c in row) for row in rmat))
-        g = r_int * adj_a
-        scaled = tuple(tuple(a.den * x for x in row) for row in g.rows)
-        for col in zip(*scaled):
-            cols.append(col)
+        g = IntMatrix(o.mul_matrix(beta)) * adj_a
+        cols.extend([a.den * x for x in col] for col in zip(*g.rows))
     h = hnf(cols)
-    det_h = h.determinant()
-    dual_rows = tuple(zip(*adjugate(IntMatrix(h.rows)).rows))
-    rows = [tuple(q * x for x in r) for r in dual_rows]
-    return make_ideal(o, rows, det_h)
+    q = a.lattice.determinant() * b.den
+    dual = adjugate(IntMatrix(tuple(zip(*h.rows))))
+    return make_ideal(o, [[q * x for x in r] for r in dual.rows], h.determinant())
 
 
 def multiplicator_ring(a: FracIdeal) -> FracIdeal:
@@ -493,48 +480,38 @@ def default_bound(order: Order) -> int:
 
 
 def class_monoid(order: Order, bound_override: int | None = None,
-                 budget: SearchBudget = DEFAULT_BUDGET,
-                 max_count: int = 500000) -> ClassMonoid:
+                 budget: SearchBudget = DEFAULT_BUDGET) -> ClassMonoid:
     """Enumerate the ideal class monoid from integral ideals of bounded index.
 
-    The default bound is ceil(sqrt(|disc|)); results should be validated by
-    re-running at a doubled bound and against the matrix oracle.
+    The bound is ceil(sqrt(|disc|)); a smaller override could miss classes
+    and is refused.  Ideals run in (norm, HNF) order, so the first member of
+    each class is its minimal-norm representative.
     """
-    if bound_override is not None and bound_override < 1:
-        raise ValueError(f"enumeration bound must be >= 1, got {bound_override}")
-    bound = bound_override if bound_override is not None else default_bound(order)
-    ideals = stable_sublattices(order, bound, max_count)
+    bound = default_bound(order)
+    if bound_override is not None:
+        if bound_override < bound:
+            raise ValueError(f"enumeration bound must be >= {bound} = "
+                             f"ceil(sqrt|disc|), got {bound_override}")
+        bound = bound_override
+    ideals = stable_sublattices(order, bound)
     ideals.sort(key=lambda a: (a.lattice.determinant(), a.lattice.rows))
-    buckets: list[list[FracIdeal]] = []
     unknown_pairs = 0
     if order.n == 2 and order.disc > 0:
-        keyed: dict[tuple, list[FracIdeal]] = {}
+        first: dict[tuple, FracIdeal] = {}
         for a in ideals:
-            keyed.setdefault(cycle_key(a, budget), []).append(a)
-        buckets = [keyed[k] for k in sorted(
-            keyed, key=lambda k: (keyed[k][0].lattice.determinant(),
-                                  keyed[k][0].lattice.rows))]
+            first.setdefault(cycle_key(a, budget), a)
+        reps = list(first.values())
     else:
-        reps: list[FracIdeal] = []
+        reps = []
         for a in ideals:
-            placed = False
-            for i, r in enumerate(reps):
-                verdict = is_equivalent(a, r, budget)
-                if verdict.status == EQUIVALENT:
-                    buckets[i].append(a)
-                    placed = True
+            for r in reps:
+                status = is_equivalent(a, r, budget).status
+                if status == EQUIVALENT:
                     break
-                if verdict.status == UNKNOWN:
+                if status == UNKNOWN:
                     unknown_pairs += 1
-            if not placed:
+            else:
                 reps.append(a)
-                buckets.append([a])
-    classes = []
-    for members in buckets:
-        canonical = min(members,
-                        key=lambda a: (a.lattice.determinant(), a.lattice.rows))
-        classes.append(IdealClass(canonical, is_invertible(canonical)))
-    classes.sort(key=lambda c: (c.canonical.lattice.determinant(),
-                                c.canonical.lattice.rows))
+    classes = tuple(IdealClass(r, is_invertible(r)) for r in reps)
     picard = sum(1 for c in classes if c.invertible)
-    return ClassMonoid(order, tuple(classes), picard, bound, unknown_pairs)
+    return ClassMonoid(order, classes, picard, bound, unknown_pairs)

@@ -22,7 +22,7 @@ from itertools import permutations, product
 from math import gcd
 
 from .errors import BudgetExceeded, CertificationError, ReduciblePolynomial
-from .exactla import IntMatrix, MonicIntPoly, adjugate, charpoly, det_bareiss
+from .exactla import IntMatrix, MonicIntPoly, charpoly, det_bareiss, solve
 from .ideal import (
     DEFAULT_BUDGET, EQUIVALENT, INEQUIVALENT, ClassMonoid, FracIdeal,
     IdealClass, SearchBudget, class_monoid, is_equivalent, make_ideal,
@@ -155,29 +155,18 @@ def are_conjugate(m: IntMatrix, n_mat: IntMatrix,
     if res.status != EQUIVALENT:
         return ConjugacyVerdict(res.status)
     z = res.witness
-    n = o.n
-    # scale z so that z * v_m has integral entries spanning the same lattice
+    # The rows of ww / den = z * v_m and of wn = v_n both span z * a_m = a_n,
+    # and W = den * wn * ww^-1 is the witness: one solve of
+    # ww^T W^T = den * wn^T, then exact checks.
     ww, den = clear_denominators([(z * e.to_field()).coords for e in v_m.entries])
-    wn = [list(e.coords) for e in v_n.entries]
-    # solve ww = P * wn over Z; den divides out because both span z*a_m scaled
-    adj = adjugate(IntMatrix(tuple(tuple(r) for r in wn)))
-    d = det_bareiss(wn)
-    p_rows = []
-    for r in ww:
-        row = []
-        for j in range(n):
-            s = sum(r[k] * adj.rows[k][j] for k in range(n))
-            if s % (d * den):
-                raise CertificationError("conjugator is not integral")
-            row.append(s // (d * den))
-        p_rows.append(tuple(row))
-    p = IntMatrix(tuple(p_rows))
-    dp = det_bareiss(p.rows)
-    if dp not in (1, -1):
-        raise CertificationError(f"conjugator has determinant {dp}")
-    p_inv = adjugate(p) if dp == 1 else IntMatrix(
-        tuple(tuple(-x for x in r) for r in adjugate(p).rows))
-    witness = p_inv  # witness * M * witness^-1 = N
+    wn = [e.coords for e in v_n.entries]
+    d, wt = solve(tuple(zip(*ww)), [[den * x for x in col] for col in zip(*wn)])
+    if any(x % d for r in wt for x in r):
+        raise CertificationError("conjugator is not integral")
+    witness = IntMatrix(tuple(zip(*([x // d for x in r] for r in wt))))
+    dw = det_bareiss(witness.rows)
+    if dw not in (1, -1):
+        raise CertificationError(f"conjugator has determinant {dw}")
     if witness * m != n_mat * witness:
         raise CertificationError("witness fails W * M = N * W")
     return ConjugacyVerdict(EQUIVALENT, witness)

@@ -2,10 +2,11 @@
 
 Elements live on the power basis 1, xi, ..., xi^(n-1).  OrderElement carries
 integer coordinates, FieldElement rational ones; both reduce products through
-the same precomputed table of xi-power coordinates.  Norms and inverses read
-off the integer matrix of multiplication, cleared of denominators by
-clear_denominators: the norm is its determinant and the inverse is row 0 of
-its adjugate over the determinant, so no polynomial Euclid runs over Q.
+the same precomputed table of xi-power coordinates.  Order.mul_matrix is the
+matrix of multiplication by an element.  Norms and inverses read off it,
+cleared of denominators by clear_denominators: the norm is its Bareiss
+determinant and the inverse is one exact integer solve (exactla.solve), so
+no polynomial Euclid runs over Q.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from math import lcm
 
 from .errors import ReduciblePolynomial
 from .exactla import (
-    IntMatrix, MonicIntPoly, adjugate, companion, det_bareiss, discriminant,
-    is_irreducible,
+    MonicIntPoly, companion, det_bareiss, discriminant, is_irreducible, solve,
 )
 
 
@@ -91,6 +91,14 @@ class Order:
             pk = self._xi_powers[n]
             out = [o + head * p for o, p in zip(out, pk)]
         return out
+
+    def mul_matrix(self, coords):
+        """Rows k = coordinates of element * xi^k, for the element with the
+        given coordinates: x -> x . rows is multiplication by it."""
+        rows = [tuple(coords)]
+        for _ in range(self.n - 1):
+            rows.append(tuple(self.xi_times(rows[-1])))
+        return rows
 
     def zero(self) -> "OrderElement":
         return OrderElement(self, (0,) * self.n)
@@ -178,40 +186,28 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def mul_matrix_rows(self):
-        """Rows k = coordinates of self * xi^k; x -> x . rows is mult by self."""
-        rows = []
-        cur = list(self.coords)
-        for _ in range(self.order.n):
-            rows.append(tuple(cur))
-            cur = self.order.xi_times(cur)
-        return tuple(rows)
-
     def norm(self) -> Fraction:
         """Determinant of multiplication by self on the power basis."""
-        int_rows, den = clear_denominators(self.mul_matrix_rows())
+        int_rows, den = clear_denominators(self.order.mul_matrix(self.coords))
         return Fraction(det_bareiss(int_rows), den ** self.order.n)
 
     def trace(self) -> Fraction:
-        rows = self.mul_matrix_rows()
+        rows = self.order.mul_matrix(self.coords)
         return sum(rows[i][i] for i in range(self.order.n))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse: row 0 of den * adj(A) / det(A).
+        """Multiplicative inverse y: y . R = e_0 for R = mul_matrix(self).
 
-        x -> x . R is multiplication by self for R = mul_matrix_rows(), and
-        A = den * R is its cleared integer matrix, so 1/self = e_0 . R^-1 =
-        den * e_0 . adj(A) / det(A).  det(A) expands column 0 of A against
-        that row.
+        With A = den * R its cleared integer matrix, A^T y^T = den * e_0, so
+        solve gives det(A) * y; a singular A means self shares a factor with
+        chi and raises ZeroDivisionError.
         """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        int_rows, den = clear_denominators(self.mul_matrix_rows())
-        adj0 = adjugate(IntMatrix(int_rows)).rows[0]
-        d = sum(a * r[0] for a, r in zip(adj0, int_rows))
-        if d == 0:
-            raise ZeroDivisionError("element shares a factor with chi")
-        return FieldElement(self.order, tuple(Fraction(den * a, d) for a in adj0))
+        int_rows, den = clear_denominators(self.order.mul_matrix(self.coords))
+        rhs = [(den,)] + [(0,)] * (self.order.n - 1)
+        d, y = solve(tuple(zip(*int_rows)), rhs)
+        return FieldElement(self.order, tuple(Fraction(v, d) for v, in y))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()

@@ -162,7 +162,7 @@ def maximal_order_poly(d: int) -> MonicIntPoly:
     return MonicIntPoly((1, 0, -d))
 
 
-def quad_class_number(d: int, bound_override: int | None = None) -> QuadOrderInfo:
+def quad_class_number(d: int) -> QuadOrderInfo:
     """Class number of the maximal order of Q(sqrt(d)) via ICM enumeration,
     paired with the Pell solution matrix [[-a, -1], [1, 0]]."""
     if d <= 1 or not is_squarefree(d):
@@ -172,7 +172,7 @@ def quad_class_number(d: int, bound_override: int | None = None) -> QuadOrderInf
     order = order_for(chi)
     if order.disc != disc:
         raise CertificationError(f"order discriminant {order.disc}, expected {disc}")
-    cm = class_monoid(order, bound_override)
+    cm = class_monoid(order)
     pell = solve_pell4(d)
     mat = IntMatrix(((-pell.a, -1), (1, 0)))
     if charpoly(mat) != MonicIntPoly((1, pell.a, 1)):

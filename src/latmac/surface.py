@@ -1,7 +1,8 @@
 """Surface-side verification tools: explicit bound formulas, the printed
 genus-3 homology matrix and its rank claim, double covers by
 Reidemeister-Schreier rewriting, homological transvections, torus
-intersection forms, and train-track weight classes.
+intersection forms, and train-track weight classes.  The stretch factor of a
+train track is the last of exactla.real_roots of its charpoly.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .errors import (
     ZeroVector,
 )
 from .exactla import (
-    IntMatrix, MonicIntPoly, _poly_divmod_monic, charpoly, det_bareiss,
-    det_cofactor, rank, snf,
+    IntMatrix, MonicIntPoly, charpoly, det_bareiss, det_cofactor, rank,
+    real_roots, snf,
 )
 from .ideal import FracIdeal, ideal_from_generators
 from .latimer import matrix_to_ideal, order_for, xi_eigenvector
@@ -359,61 +360,6 @@ def is_primitive(m: IntMatrix) -> bool:
     return all(all(row) for row in step)
 
 
-def _sturm_chain(p: MonicIntPoly):
-    chain = [[Fraction(c) for c in p.coeffs]]
-    chain.append([Fraction(c) for c in p.derivative()])
-    while True:
-        a, b = chain[-2], chain[-1]
-        _, rem = _poly_divmod_monic(a, [c / b[0] for c in b])
-        while rem and rem[0] == 0:
-            rem.pop(0)
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        acc = Fraction(0)
-        for c in poly:
-            acc = acc * x + c
-        if acc:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def largest_real_root(p: MonicIntPoly, width: Fraction = Fraction(1, 10 ** 8)):
-    """Certified interval (lo, hi] of length <= width around the largest real
-    root: Sturm isolation, then sign-change bisection."""
-    chain = _sturm_chain(p)
-    bound = 1 + max(abs(c) for c in p.coeffs)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    if _sign_variations(chain, lo) - _sign_variations(chain, hi) < 1:
-        raise ValueError("polynomial has no real root")
-    # shrink lo upward while keeping at least one root in (lo, hi]
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _sign_variations(chain, mid) - _sign_variations(chain, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-        if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 1 \
-                and p(lo) != 0 and p(lo) * p(hi) < 0:
-            break
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            return mid, mid
-        if p(lo) * v < 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class TrainTrackClass:
     chi: MonicIntPoly
@@ -451,5 +397,5 @@ def traintrack_class(track: TrainTrack) -> TrainTrackClass:
             if total != zero:
                 raise SwitchViolation(f"switch {ins} -> {outs} unbalanced")
     ideal = matrix_to_ideal(m, order)
-    lo, hi = largest_real_root(chi)
+    lo, hi = real_roots(chi)[-1]  # the Perron root, as m is primitive
     return TrainTrackClass(chi, ideal, lo, hi)

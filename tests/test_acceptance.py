@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from latmac.exactla import (
-    IntMatrix, MonicIntPoly, adjugate, charpoly, det, det_bareiss, rank,
+    IntMatrix, MonicIntPoly, adjugate, charpoly, det_bareiss, rank,
 )
 from latmac.ideal import (
     EQUIVALENT, class_monoid, default_bound, is_equivalent,
@@ -200,7 +200,7 @@ def test_criterion_09_transvections():
             while not any(c):
                 c = [rng.randint(-4, 4) for _ in range(2 * g)]
             t = transvection(j, c)
-            assert det(t) == 1
+            assert det_bareiss(t.rows) == 1
             assert rank(t - IntMatrix.identity(2 * g)) == 1
         for _ in range(20):
             g = rng.randint(1, 2)

@@ -156,10 +156,12 @@ def test_unknown_verdict_yields_exit_two(capsys):
     assert "unknown_pairs\t1" in out
 
 
-@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("bound", ["0", "-3", "1", "4"])
 @pytest.mark.parametrize("cmd", ["classify", "icm"])
 def test_bound_below_one_is_input_error(capsys, cmd, bound):
-    # X^2+5 has class number 2; a bound below 1 used to print an empty list
+    # X^2+5 has class number 2 and default bound ceil(sqrt 20) = 5.  A bound
+    # below 1 used to print an empty list, and a bound from 1 to 4 a short
+    # one with exit 0 (count 1 at --bound 1); both are now refused
     code = main(["--bound", bound, cmd, "--poly", "1,0,5"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

@@ -1,6 +1,8 @@
 """Property tests for the exact core: the adjugate eigenvector against a
 reference Gauss-Jordan solve over K, the charpoly guard, the HNF triangular
-solve, and field inversion."""
+solve and idempotence, field inversion, the one Bareiss elimination against
+cofactor and Fraction Gauss-Jordan references, and real root isolation
+against the former largest-root bisection."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latmac.errors import RankDeficient, ReduciblePolynomial
-from latmac.exactla import IntMatrix, MonicIntPoly, adjugate, det_bareiss, hnf
+from latmac.exactla import (
+    IntMatrix, MonicIntPoly, _poly_divmod_monic, adjugate, det_bareiss,
+    det_cofactor, discriminant, hnf, kernel_rational, rank, real_roots,
+)
 from latmac.ideal import stable_sublattices
 from latmac.latimer import ideal_to_matrix, xi_eigenvector
 from latmac.order import FieldElement, Order
@@ -204,3 +209,181 @@ def test_inverse_times_self_is_one(o, data):
     inv = x.inverse()
     assert x * inv == FieldElement(o, (1,) + (0,) * (n - 1))
     assert inv == _reference_inverse(x)
+
+
+@PROPERTY
+@given(lattices())
+def test_hnf_is_idempotent(basis):
+    assert hnf(basis.rows) == basis
+
+
+# References for the elimination: the cofactor adjugate and the Fraction
+# Gauss-Jordan kernel it replaced.
+
+def _reference_adjugate(rows):
+    n = len(rows)
+    if n == 1:
+        return ((1,),)
+    cof = [[(-1) ** (i + j) * det_cofactor(
+        [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+        for j in range(n)] for i in range(n)]
+    return tuple(zip(*cof))
+
+
+def _reference_kernel(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = {}
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots[col] = r
+        r += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for col, prow in pivots.items():
+            vec[col] = -m[prow][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices of size 1-6; a third are products n x r times r x n
+    with r < n, so rank-deficient."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-9, 9)
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, n - 1))
+        left = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                             min_size=n, max_size=n))
+        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                              min_size=r, max_size=r))
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                if r else [0] * n for row in left]
+    else:
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+@PROPERTY
+@given(square_matrices())
+def test_elimination_matches_references(m):
+    rows = [list(r) for r in m.rows]
+    d = det_bareiss(m.rows)
+    kernel = kernel_rational(m)
+    assert d == det_cofactor(rows)
+    assert kernel == _reference_kernel(rows)
+    assert rank(m) == m.n - len(kernel)
+    assert (d == 0) == bool(kernel)
+    if d:
+        assert adjugate(m).rows == _reference_adjugate(rows)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            adjugate(m)
+
+
+# Reference for real_roots: the largest-root bisection it replaced.
+
+def _reference_sturm_chain(p):
+    chain = [[Fraction(c) for c in p.coeffs]]
+    chain.append([Fraction(c) for c in p.derivative()])
+    while True:
+        a, b = chain[-2], chain[-1]
+        _, rem = _poly_divmod_monic(a, [c / b[0] for c in b])
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _reference_variations(chain, x):
+    signs = []
+    for poly in chain:
+        acc = Fraction(0)
+        for c in poly:
+            acc = acc * x + c
+        if acc:
+            signs.append(1 if acc > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_largest_real_root(p, width):
+    chain = _reference_sturm_chain(p)
+    bound = 1 + max(abs(c) for c in p.coeffs)
+    lo, hi = Fraction(-bound), Fraction(bound)
+    if _reference_variations(chain, lo) - _reference_variations(chain, hi) < 1:
+        return None
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if _reference_variations(chain, mid) - _reference_variations(chain, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+        if _reference_variations(chain, lo) - _reference_variations(chain, hi) == 1 \
+                and p(lo) != 0 and p(lo) * p(hi) < 0:
+            break
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = p(mid)
+        if v == 0:
+            return mid, mid
+        if p(lo) * v < 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Monic integer polynomials of degree 1-5 without multiple roots."""
+    n = draw(st.integers(1, 5))
+    tail = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    p = MonicIntPoly((1, *tail))
+    assume(discriminant(p) != 0)
+    return p
+
+
+@PROPERTY
+@given(squarefree_polys(), st.sampled_from((Fraction(1, 10 ** 8), Fraction(1, 7))))
+def test_real_roots_isolate_every_root(p, width):
+    roots = real_roots(p, width)
+    chain = _reference_sturm_chain(p)
+
+    def count(lo, hi):
+        return _reference_variations(chain, lo) - _reference_variations(chain, hi)
+
+    bound = 1 + max(abs(c) for c in p.coeffs)
+    assert len(roots) == count(Fraction(-bound), Fraction(bound))
+    for (_, hi), (lo2, hi2) in zip(roots, roots[1:]):
+        assert hi < lo2 or hi == lo2 < hi2  # (lo, hi] sets, (x, x) = {x}
+    for lo, hi in roots:
+        assert 0 <= hi - lo <= width
+        assert p(lo) == 0 if lo == hi else count(lo, hi) == 1
+    assert (roots[-1] if roots else None) == _reference_largest_real_root(p, width)
+
+
+def test_real_roots_at_multiple_roots():
+    # X^2 (X - 1): every Sturm term vanishes at the double root 0, which the
+    # former largest-root bisection reported instead of the root 1
+    assert real_roots(MonicIntPoly((1, -1, 0, 0)), Fraction(1, 4)) == [
+        (Fraction(-1, 4), Fraction(0)), (Fraction(3, 4), Fraction(1))]
+    # (X^2 - 2)^2: two double roots, with no sign change at either
+    roots = real_roots(MonicIntPoly((1, 0, -4, 0, 4)))
+    assert [round(float(hi), 6) for _, hi in roots] == [-1.414214, 1.414214]
+    assert real_roots(MonicIntPoly((1, 0, 1))) == []

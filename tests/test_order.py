@@ -150,5 +150,5 @@ def test_mul_matrix_det_is_norm():
         o = Order(chi)
         for _ in range(15):
             a = o.element([rng.randint(-5, 5) for _ in range(o.n)]).to_field()
-            rows = [[int(c) for c in r] for r in a.mul_matrix_rows()]
+            rows = [[int(c) for c in r] for r in a.order.mul_matrix(a.coords)]
             assert det_bareiss(rows) == a.norm()
