@@ -6,7 +6,7 @@ consumer.  Results of the expensive commands can be cached; a cache hit
 reproduces the cold-run output byte for byte.
 
 Exit codes: 0 success (fully certified), 1 invalid input, 2 a result was
-affected by an Unknown search verdict.
+affected by an Unknown search verdict, 3 a search budget ran out.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .surface import (
 _INPUT_ERRORS = (
     ValueError, InvalidD, InvalidGenus, InvalidHom, NotPrimitive,
     RankDeficient, ReduciblePolynomial, SwitchViolation, ZeroIdeal,
-    ZeroVector, DegreeCapExceeded, BudgetExceeded, ZeroDivisionError,
+    ZeroVector, DegreeCapExceeded, ZeroDivisionError,
     json.JSONDecodeError, OSError,
 )
 
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(text)
     return code
 

@@ -9,7 +9,10 @@ independent cross-check.  Hermite and Smith normal forms and the triangular
 solve against an HNF basis, HNFBasis.coordinates, are separate integer
 routines.  One remainder sequence over Q gives poly_gcd_rational and the
 Sturm sequence behind real_roots, which isolates every real root in
-certified rational intervals.  The lattice normal form used throughout the
+certified rational intervals.  Over F_p, kernel_mod_p is a Gauss-Jordan
+kernel and factors_mod_p finds small irreducible factors by distinct- and
+equal-degree factorization; with the prime stream primes() they drive the
+stable-sublattice descent.  The lattice normal form used throughout the
 package is row-style Hermite normal form: upper triangular, positive pivots,
 entries above a pivot reduced modulo it.
 """
@@ -17,6 +20,7 @@ entries above a pivot reduced modulo it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -109,18 +113,20 @@ def _poly_divmod_monic(num, den):
     return quot, num
 
 
+def _trim(a):
+    """The coefficient list a without its leading zeros."""
+    return a[next((i for i, c in enumerate(a) if c), len(a)):]
+
+
 def _remainder_sequence(a, b):
     """[a, b, -rem(a, b), ...] over Q, each further term minus the remainder
     of the two before it, up to the last nonzero one: a constant multiple of
     gcd(a, b).  For b = a' it is the Sturm sequence of a.  Terms are lists of
     Fractions without leading zeros."""
-    def strip(p):
-        return p[next((i for i, c in enumerate(p) if c), len(p)):]
-
-    seq = [strip([Fraction(c) for c in a]), strip([Fraction(c) for c in b])]
+    seq = [_trim([Fraction(c) for c in a]), _trim([Fraction(c) for c in b])]
     while seq[-1]:
         _, rem = _poly_divmod_monic(seq[-2], [c / seq[-1][0] for c in seq[-1]])
-        seq.append(strip([-c for c in rem]))
+        seq.append(_trim([-c for c in rem]))
     return seq[:-1]
 
 
@@ -696,3 +702,179 @@ def snf(a: IntMatrix) -> SNFResult:
     diag = tuple(s[i][i] for i in range(n))
     return SNFResult(diag, IntMatrix(tuple(tuple(r) for r in u)),
                      IntMatrix(tuple(tuple(r) for r in v)))
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic mod a prime
+# ---------------------------------------------------------------------------
+
+def primes():
+    """The primes in increasing order, without end: a sieve of Eratosthenes
+    run on one segment of 2^15 integers at a time."""
+    found = []
+    lo, size = 2, 1 << 15
+    while True:
+        hi = lo + size
+        seg = bytearray([1]) * size
+        for q in found:
+            if q * q >= hi:
+                break
+            start = max(q * q, -(-lo // q) * q) - lo
+            seg[start::q] = bytes(len(range(start, size, q)))
+        for i in range(size):
+            if seg[i]:
+                q = lo + i
+                found.append(q)
+                yield q
+                if q * q < hi:  # its multiples later in this segment
+                    start = q * q - lo
+                    seg[start::q] = bytes(len(range(start, size, q)))
+        lo = hi
+
+
+def kernel_mod_p(rows, p: int):
+    """Basis of the right kernel over F_p of the integer matrix with these
+    rows, entries in [0, p).
+
+    Gauss-Jordan to reduced row echelon form; one vector per free column f,
+    with entry 1 at f, 0 at the other free columns.
+    """
+    m = [[x % p for x in r] for r in rows]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        top = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if top is None:
+            continue
+        m[r], m[top] = m[top], m[r]
+        inv = pow(m[r][c], -1, p)
+        pivot_row = m[r] = [x * inv % p for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -m[i][f] % p
+        basis.append(tuple(vec))
+    return basis
+
+
+# Polynomials over F_p below are lists, highest degree first, entries in
+# [0, p), without leading zeros: [] is zero.
+
+def _add_mod_p(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    k = len(a) - len(b)
+    return _trim(a[:k] + [(x + y) % p for x, y in zip(a[k:], b)])
+
+
+def _rem_mod_p(a, m, p):
+    """Remainder of a by the monic m."""
+    a = [x % p for x in a]
+    dm = len(m) - 1
+    for i in range(len(a) - dm):
+        c = a[i]
+        if c:
+            for j in range(1, len(m)):
+                a[i + j] = (a[i + j] - c * m[j]) % p
+    return _trim(a[max(0, len(a) - dm):])
+
+
+def _mul_mod_p(a, b, m, p):
+    """a * b reduced by the monic m."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _rem_mod_p(prod, m, p)
+
+
+def _pow_mod_p(a, e: int, m, p):
+    """a^e reduced by the monic m, by repeated squaring."""
+    out, a = _rem_mod_p([1], m, p), _rem_mod_p(a, m, p)
+    while e:
+        if e & 1:
+            out = _mul_mod_p(out, a, m, p)
+        e >>= 1
+        if e:
+            a = _mul_mod_p(a, a, m, p)
+    return out
+
+
+def _monic_gcd_mod_p(a, b, p):
+    while b:
+        inv = pow(b[0], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _rem_mod_p(a, b, p)
+    return a
+
+
+def _quot_mod_p(a, m, p):
+    """a / m for a monic m that divides a."""
+    return [x % p for x in _poly_divmod_monic(a, m)[0]]
+
+
+def _equal_degree_split(g, d: int, p: int, rng):
+    """The monic irreducible factors of g, a product of distinct ones of
+    degree d over F_p (Cantor-Zassenhaus; Cohen, GTM 138, 3.4.6-3.4.7).
+
+    For random a of degree < deg g, gcd(b, g) is a proper factor of g about
+    half the time, with b = a^((p^d - 1)/2) - 1 for odd p and the trace
+    a + a^2 + ... + a^(2^(d-1)) for p = 2.
+    """
+    if len(g) - 1 == d:
+        return [tuple(g)]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = _mul_mod_p(t, t, g, p)
+                b = _add_mod_p(b, t, p)
+        else:
+            b = _add_mod_p(_pow_mod_p(a, (p ** d - 1) // 2, g, p), [p - 1], p)
+        s = _monic_gcd_mod_p(g, b, p)
+        if 1 < len(s) < len(g):
+            return (_equal_degree_split(s, d, p, rng)
+                    + _equal_degree_split(_quot_mod_p(g, s, p), d, p, rng))
+
+
+def factors_mod_p(poly: MonicIntPoly, p: int, bound: int):
+    """The distinct monic irreducible factors g of poly mod p with
+    p^deg(g) <= bound, coefficients in [0, p), highest degree first, in
+    (degree, coefficients) order.
+
+    Distinct-degree factorization: once the factors of degree < d are
+    divided out of f, gcd(x^(p^d) - x, f) is the product of the distinct
+    factors of degree d, which equal-degree splitting separates.  The
+    splitting draws from a generator seeded with p; only its running time
+    depends on the draws.
+    """
+    f = [c % p for c in poly.coeffs]
+    rng = random.Random(p)
+    out = []
+    h = [1, 0]  # x^(p^d) mod f, for d = 0, 1, ...
+    d = 1
+    while p ** d <= bound and len(f) > d:
+        h = _pow_mod_p(h, p, f, p)
+        g = _monic_gcd_mod_p(f, _add_mod_p(h, [p - 1, 0], p), p)
+        if len(g) > 1:
+            found = sorted(_equal_degree_split(g, d, p, rng))
+            out.extend(found)
+            for q in found:
+                while not any(x % p for x in _poly_divmod_monic(f, q)[1]):
+                    f = _quot_mod_p(f, q, p)
+        d += 1
+    return out

@@ -25,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt
 
 from .errors import BudgetExceeded, CertificationError, ZeroIdeal
-from .exactla import HNFBasis, IntMatrix, adjugate, hnf
+from .exactla import (
+    HNFBasis, IntMatrix, adjugate, det_bareiss, factors_mod_p, hnf, kernel_mod_p,
+    primes,
+)
 from .order import FieldElement, Order, clear_denominators
 
 EQUIVALENT = "equivalent"
@@ -41,7 +44,11 @@ _CF_STEP_CAP = 20000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the degree >= 3 witness search and CF safety limits."""
+    """Caps for the degree >= 3 witness search and CF safety limits.
+
+    max_candidates caps the witness candidates of one search, and in
+    class_monoid the pairwise tests and candidates of all pairs together.
+    """
 
     coeff_bound: int = 4
     max_candidates: int = 500000
@@ -340,45 +347,74 @@ def _equivalent_imaginary_quadratic(a, b):
 # Equivalence: bounded search for degree >= 3
 # ---------------------------------------------------------------------------
 
-def _equivalent_bounded_search(a, b, budget):
+class _SearchPool:
+    """The part of budget.max_candidates left to one class_monoid.  Each
+    pairwise equivalence test and each witness candidate tried costs one;
+    BudgetExceeded is raised once it is spent."""
+
+    def __init__(self, size: int):
+        self.size = self.left = size
+
+    def spend(self):
+        if not self.left:
+            raise BudgetExceeded(f"more than {self.size} pairwise tests and "
+                                 "witness candidates in one class monoid")
+        self.left -= 1
+
+
+def _combos_by_height(n: int, height: int):
+    """Nonzero integer n-tuples with entries in [-height, height], in
+    (max |entry|, lexicographic) order, generated lazily shell by shell.
+    Of each pair +-v only the one whose first nonzero entry is positive is
+    kept: -z is a witness iff z is."""
+    for m in range(1, height + 1):
+        for v in product(range(-m, m + 1), repeat=n):
+            if (m in v or -m in v) and next(x for x in v if x) > 0:
+                yield v
+
+
+def _equivalent_bounded_search(a, b, budget, pool=None):
+    """Try small combinations of the basis of (b : a) as witnesses.
+
+    Without a pool the search tries at most budget.max_candidates of them
+    and answers UNKNOWN when none works; with one, every candidate is
+    charged to it.
+    """
+    shared = pool is not None
+    if not shared:
+        pool = _SearchPool(budget.max_candidates)
     if multiplicator_ring(a) != multiplicator_ring(b):
         return EquivalenceResult(INEQUIVALENT)
     o = a.order
     n = o.n
     c = colon(b, a)
-    t = b.norm() / a.norm()
+    # z = w / c.den is a witness only if |N(w)| = c.den^n N(b) / N(a)
+    target = c.den ** n * b.norm() / a.norm()
     rows = c.lattice.rows
-    cb = budget.coeff_bound
-    combos = sorted(product(range(-cb, cb + 1), repeat=n),
-                    key=lambda v: (max(abs(x) for x in v), v))
-    tried = 0
-    for combo in combos:
-        if not any(combo):
-            continue
-        first = next(x for x in combo if x)
-        if first < 0:
-            continue  # -z works iff z does
-        tried += 1
-        if tried > budget.max_candidates:
+    for combo in _combos_by_height(n, budget.coeff_bound):
+        if not (pool.left or shared):
             break
+        pool.spend()
         w = [0] * n
         for coef, row in zip(combo, rows):
             if coef:
                 for i in range(n):
                     w[i] += coef * row[i]
-        z = FieldElement(o, tuple(Fraction(x, c.den) for x in w))
-        if abs(z.norm()) != t:
+        if abs(det_bareiss(o.mul_matrix(w))) != target:
             continue
+        z = FieldElement(o, tuple(Fraction(x, c.den) for x in w))
         if a.scale(z) == b:
             return EquivalenceResult(EQUIVALENT, z)
     return EquivalenceResult(UNKNOWN)
 
 
 def is_equivalent(a: FracIdeal, b: FracIdeal,
-                  budget: SearchBudget = DEFAULT_BUDGET) -> EquivalenceResult:
+                  budget: SearchBudget = DEFAULT_BUDGET,
+                  pool: _SearchPool | None = None) -> EquivalenceResult:
     """Decide whether z*a = b for some nonzero z in K.
 
-    Exact (never Unknown) for n <= 2; three-valued for higher degree.
+    Exact (never Unknown) for n <= 2; three-valued for higher degree, where
+    pool, if given, is the candidate budget shared with other pairs.
     The witness of every Equivalent verdict is verified exactly.
     """
     if a.order != b.order:
@@ -396,7 +432,7 @@ def is_equivalent(a: FracIdeal, b: FracIdeal,
         if o.disc > 0:
             return _equivalent_real_quadratic(a, b, budget)
         return _equivalent_imaginary_quadratic(a, b)
-    return _equivalent_bounded_search(a, b, budget)
+    return _equivalent_bounded_search(a, b, budget, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -428,47 +464,94 @@ class ClassMonoid:
         return len(self.classes)
 
 
-def _divisor_chains(m, k):
-    """All k-tuples of positive integers with product m."""
-    if k == 1:
-        yield (m,)
-        return
-    for d in range(1, m + 1):
-        if m % d == 0:
-            for rest in _divisor_chains(m // d, k - 1):
-                yield (d,) + rest
+def _simple_quotient_children(basis, t, p: int, g):
+    """Generators of every xi-stable M with p L <= M < L and L/M isomorphic
+    to F_p[x]/(g), for L with HNF rows basis and integer xi-matrix t.
+
+    Such M are the annihilators of the simple submodules of the dual
+    (F_p^n, u -> t u) killed by g; each is spanned by u, t u, ...,
+    t^(deg g - 1) u for any nonzero u in it, and u in the kernel of g(t) mod
+    p.  Scalar multiples give one submodule, so u runs over the kernel
+    vectors whose first nonzero coefficient is 1, and for deg g > 1 over
+    those not in a submodule already found.
+    """
+    n = len(t)
+    d = len(g) - 1
+    gt = [[0] * n for _ in range(n)]
+    for c in g:
+        gt = [[(sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)) % p
+               for j, col in enumerate(zip(*t))] for i, row in enumerate(gt)]
+    kernel = kernel_mod_p(gt, p)
+    covered = set()
+    for lead in range(len(kernel)):
+        rest = kernel[lead + 1:]
+        for coeffs in product(range(p), repeat=len(rest)):
+            u = list(kernel[lead])
+            for c, v in zip(coeffs, rest):
+                if c:
+                    u = [x + c * y for x, y in zip(u, v)]
+            u = tuple(x % p for x in u)
+            if u in covered:
+                continue
+            orbit = [u]
+            for _ in range(d - 1):
+                orbit.append(tuple(sum(x * y for x, y in zip(row, orbit[-1])) % p
+                                   for row in t))
+            if d > 1:
+                covered.update(
+                    tuple(sum(c * v[i] for c, v in zip(cs, orbit)) % p
+                          for i in range(n))
+                    for cs in product(range(p), repeat=d))
+            gens = [[sum(y * b[j] for y, b in zip(w, basis)) for j in range(n)]
+                    for w in kernel_mod_p(orbit, p)]
+            yield gens + [[p * x for x in b] for b in basis]
 
 
 def stable_sublattices(order: Order, max_index: int, max_count: int = 500000):
-    """All xi-stable sublattices of Z[xi] with index <= max_index, as ideals.
+    """All xi-stable sublattices of Z[xi] with index <= max_index, as ideals
+    in (index, HNF) order.
 
-    HNF enumeration: diagonal divisor chains times reduced off-diagonal
-    entries, filtered by stability of each basis row.
+    Descent through simple quotients, breadth first from Z[xi] (Marseglia,
+    J. London Math. Soc. 2020; Cohen, GTM 138, ch. 2).  The children of a
+    found lattice L are the stable M with L/M isomorphic to F_p[x]/(g), for
+    each prime p and monic irreducible factor g of chi mod p with
+    [Z[xi] : L] p^deg(g) <= max_index; children are deduplicated by HNF
+    rows.  Complete: a stable L has a composition series from Z[xi] down to
+    it whose steps are stable lattices with such simple quotients, and every
+    index on the way divides [Z[xi] : L].  Each lattice is checked stable
+    when its FracIdeal is built.  BudgetExceeded is raised once more than
+    max_count lattices are found.
     """
-    n = order.n
-    found = []
-    count = 0
-    for m in range(1, max_index + 1):
-        for diag in _divisor_chains(m, n):
-            offdiag_ranges = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    offdiag_ranges.append(range(diag[j]))
-            for offs in product(*offdiag_ranges):
-                count += 1
-                if count > max_count:
-                    raise BudgetExceeded(
-                        f"more than {max_count} candidate lattices")
-                rows = [[0] * n for _ in range(n)]
-                k = 0
-                for i in range(n):
-                    rows[i][i] = diag[i]
-                    for j in range(i + 1, n):
-                        rows[i][j] = offs[k]
-                        k += 1
-                basis = HNFBasis(tuple(tuple(r) for r in rows))
-                if all(basis.contains(order.xi_times(r)) for r in basis.rows):
-                    found.append(FracIdeal(order, 1, basis))
+    stream = primes()
+    known = [next(stream)]  # primes in order, extended as the walk needs them
+    factors = {}
+    found = [unit_ideal(order)]
+    seen = {found[0].lattice.rows}
+    for lat in found:  # grows while it is walked: breadth first
+        basis = lat.lattice
+        index = basis.determinant()
+        t = [basis.coordinates(order.xi_times(r)) for r in basis.rows]
+        for k in count():
+            if k == len(known):
+                known.append(next(stream))
+            p = known[k]
+            if index * p > max_index:
+                break
+            if p not in factors:
+                factors[p] = factors_mod_p(order.chi, p, max_index)
+            for g in factors[p]:
+                if index * p ** (len(g) - 1) > max_index:
+                    break
+                for gens in _simple_quotient_children(basis.rows, t, p, g):
+                    child = hnf(gens)
+                    if child.rows in seen:
+                        continue
+                    if len(found) == max_count:
+                        raise BudgetExceeded(
+                            f"more than {max_count} stable lattices")
+                    seen.add(child.rows)
+                    found.append(FracIdeal(order, 1, child))
+    found.sort(key=lambda a: (a.lattice.determinant(), a.lattice.rows))
     return found
 
 
@@ -485,7 +568,10 @@ def class_monoid(order: Order, bound_override: int | None = None,
 
     The bound is ceil(sqrt(|disc|)); a smaller override could miss classes
     and is refused.  Ideals run in (norm, HNF) order, so the first member of
-    each class is its minimal-norm representative.
+    each class is its minimal-norm representative.  Outside real
+    quadratic orders classes are found by pairwise tests; all the tests and
+    the witness candidates they try share budget.max_candidates, and
+    BudgetExceeded is raised once it is spent.
     """
     bound = default_bound(order)
     if bound_override is not None:
@@ -494,7 +580,6 @@ def class_monoid(order: Order, bound_override: int | None = None,
                              f"ceil(sqrt|disc|), got {bound_override}")
         bound = bound_override
     ideals = stable_sublattices(order, bound)
-    ideals.sort(key=lambda a: (a.lattice.determinant(), a.lattice.rows))
     unknown_pairs = 0
     if order.n == 2 and order.disc > 0:
         first: dict[tuple, FracIdeal] = {}
@@ -503,9 +588,11 @@ def class_monoid(order: Order, bound_override: int | None = None,
         reps = list(first.values())
     else:
         reps = []
+        pool = _SearchPool(budget.max_candidates)
         for a in ideals:
             for r in reps:
-                status = is_equivalent(a, r, budget).status
+                pool.spend()
+                status = is_equivalent(a, r, budget, pool).status
                 if status == EQUIVALENT:
                     break
                 if status == UNKNOWN:

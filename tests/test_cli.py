@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -154,6 +155,22 @@ def test_unknown_verdict_yields_exit_two(capsys):
                         capsys)
     assert code == 2
     assert "unknown_pairs\t1" in out
+
+
+def test_disc_1125_quartic_is_certified(capsys):
+    code, out = run_cli(["classify", "--poly", "1,-1,-4,4,1"], capsys)
+    assert code == 0
+    assert "count\t1\n" in out and "unknown_pairs\t0\n" in out
+
+
+def test_spent_budget_yields_exit_three(capsys, monkeypatch):
+    # X^3-2X-5 needs more than 1000 witness candidates over all its pairs
+    small = functools.partial(latmac.cli.SearchBudget, max_candidates=1000)
+    monkeypatch.setattr(latmac.cli, "SearchBudget", small)
+    code = main(["classify", "--poly", "1,0,-2,-5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "budget" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["0", "-3", "1", "4"])

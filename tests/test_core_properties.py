@@ -1,10 +1,12 @@
 """Property tests for the exact core: the adjugate eigenvector against a
 reference Gauss-Jordan solve over K, the charpoly guard, the HNF triangular
 solve and idempotence, field inversion, the one Bareiss elimination against
-cofactor and Fraction Gauss-Jordan references, and real root isolation
-against the former largest-root bisection."""
+cofactor and Fraction Gauss-Jordan references, real root isolation against
+the former largest-root bisection, and the stable-sublattice descent against
+a brute-force HNF scan."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -12,8 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latmac.errors import RankDeficient, ReduciblePolynomial
 from latmac.exactla import (
-    IntMatrix, MonicIntPoly, _poly_divmod_monic, adjugate, det_bareiss,
-    det_cofactor, discriminant, hnf, kernel_rational, rank, real_roots,
+    HNFBasis, IntMatrix, MonicIntPoly, _poly_divmod_monic, adjugate,
+    det_bareiss, det_cofactor, discriminant, hnf, is_irreducible,
+    kernel_rational, rank, real_roots,
 )
 from latmac.ideal import stable_sublattices
 from latmac.latimer import ideal_to_matrix, xi_eigenvector
@@ -387,3 +390,60 @@ def test_real_roots_at_multiple_roots():
     roots = real_roots(MonicIntPoly((1, 0, -4, 0, 4)))
     assert [round(float(hi), 6) for _, hi in roots] == [-1.414214, 1.414214]
     assert real_roots(MonicIntPoly((1, 0, 1))) == []
+
+
+# ---------------------------------------------------------------------------
+# stable sublattices: descent against the HNF scan
+# ---------------------------------------------------------------------------
+
+def _divisor_chains(m, k):
+    """All k-tuples of positive integers with product m."""
+    if k == 1:
+        yield (m,)
+        return
+    for d in range(1, m + 1):
+        if m % d == 0:
+            for rest in _divisor_chains(m // d, k - 1):
+                yield (d,) + rest
+
+
+def hnf_scan(order, max_index):
+    """HNF rows of every xi-stable sublattice of index <= max_index, by
+    scanning every HNF matrix: diagonal divisor chains times reduced
+    off-diagonal entries, filtered by stability of each basis row."""
+    n = order.n
+    found = []
+    for m in range(1, max_index + 1):
+        for diag in _divisor_chains(m, n):
+            ranges = [range(diag[j]) for i in range(n) for j in range(i + 1, n)]
+            for offs in product(*ranges):
+                rows = [[0] * n for _ in range(n)]
+                k = 0
+                for i in range(n):
+                    rows[i][i] = diag[i]
+                    for j in range(i + 1, n):
+                        rows[i][j] = offs[k]
+                        k += 1
+                basis = HNFBasis(tuple(tuple(r) for r in rows))
+                if all(basis.contains(order.xi_times(r)) for r in basis.rows):
+                    found.append(basis.rows)
+    return found
+
+
+@st.composite
+def small_irreducible(draw, degrees):
+    n = draw(st.sampled_from(degrees))
+    tail = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    chi = MonicIntPoly((1, *tail))
+    assume(is_irreducible(chi))
+    return Order(chi, check=False)
+
+
+@PROPERTY
+@given(st.one_of(orders((2, 3, 4)), small_irreducible((2, 3, 4))))
+def test_descent_matches_hnf_scan(o):
+    bound = {2: 30, 3: 12, 4: 8}[o.n]
+    descent = [a.lattice.rows for a in stable_sublattices(o, bound)]
+    scan = hnf_scan(o, bound)
+    assert descent == sorted(scan, key=lambda rows: (
+        HNFBasis(rows).determinant(), rows))

@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from latmac.errors import DegreeCapExceeded, RankDeficient
 from latmac.exactla import (
     HNFBasis, IntMatrix, MonicIntPoly, charpoly, companion, det_bareiss,
-    det_cofactor, discriminant, hnf, is_irreducible, kernel_rational,
-    poly_from_string, poly_gcd_rational, rank, snf,
+    det_cofactor, discriminant, factors_mod_p, hnf, is_irreducible,
+    kernel_mod_p, kernel_rational, poly_from_string, poly_gcd_rational,
+    primes, rank, snf, _poly_divmod_monic,
 )
 
 
@@ -306,3 +308,72 @@ def test_poly_from_string():
     assert poly_from_string("1,-1,-1") == MonicIntPoly((1, -1, -1))
     with pytest.raises(ValueError):
         poly_from_string("2,1")
+
+
+# ---------------------------------------------------------------------------
+# arithmetic mod a prime
+# ---------------------------------------------------------------------------
+
+def test_prime_stream_against_trial_division():
+    # 80,000 integers span three sieve segments of 2^15
+    expected = [q for q in range(2, 80000)
+                if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    assert list(islice(primes(), len(expected))) == expected
+
+
+def test_kernel_mod_p_counts_every_solution():
+    rng = random.Random(83)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-6, 6) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        basis = kernel_mod_p(rows, p)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(r, v)) % p == 0 for r in rows)
+        solutions = sum(
+            1 for v in product(range(p), repeat=n)
+            if all(sum(a * x for a, x in zip(r, v)) % p == 0 for r in rows))
+        assert solutions == p ** len(basis)
+
+
+def _divides_mod_p(g, f, p):
+    return not any(x % p for x in _poly_divmod_monic(f, g)[1])
+
+
+def test_factors_mod_p_against_brute_force():
+    rng = random.Random(89)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 6)
+        f = MonicIntPoly((1, *(rng.randint(-9, 9) for _ in range(n))))
+        bound = 130
+        got = factors_mod_p(f, p, bound)
+        expected = []
+        for d in range(1, n + 1):
+            if p ** d > bound:
+                break
+            for tail in product(range(p), repeat=d):
+                g = (1, *tail)
+                irreducible = not any(
+                    _divides_mod_p(h, g, p)
+                    for e in range(1, d) for h in
+                    ((1, *t) for t in product(range(p), repeat=e)))
+                if irreducible and _divides_mod_p(g, f.coeffs, p):
+                    expected.append(g)
+        assert got == expected
+
+
+def test_factors_mod_p_respect_the_bound():
+    x6_minus_2 = MonicIntPoly((1, 0, 0, 0, 0, 0, -2))
+    assert factors_mod_p(x6_minus_2, 3, 9) == [(1, 0, 1)]  # (X^2+1)^3
+    assert factors_mod_p(x6_minus_2, 3, 8) == []
+    assert factors_mod_p(x6_minus_2, 2, 1222) == [(1, 0)]
+    # the 7th cyclotomic polynomial is the product of both cubics mod 2
+    phi7 = MonicIntPoly((1, 1, 1, 1, 1, 1, 1))
+    assert factors_mod_p(phi7, 2, 8) == [(1, 0, 1, 1), (1, 1, 0, 1)]
+    # X^4+1 splits into two quadratics mod 3, and mod 17 has the roots
+    # 2, 8, 9 and 15, the factors X + 15, X + 9, X + 8 and X + 2
+    x4_plus_1 = MonicIntPoly((1, 0, 0, 0, 1))
+    assert factors_mod_p(x4_plus_1, 3, 9) == [(1, 1, 2), (1, 2, 2)]
+    assert factors_mod_p(x4_plus_1, 17, 17) == [(1, 2), (1, 8), (1, 9), (1, 15)]

@@ -8,7 +8,7 @@ from latmac.exactla import MonicIntPoly
 from latmac.ideal import (
     EQUIVALENT, INEQUIVALENT, UNKNOWN, class_monoid, colon, default_bound,
     ideal_from_generators, ideal_norm, is_equivalent, is_invertible,
-    make_ideal, mul_ideals, multiplicator_ring, principal_ideal,
+    SearchBudget, make_ideal, mul_ideals, multiplicator_ring, principal_ideal,
     stable_sublattices, unit_ideal,
 )
 from latmac.order import FieldElement, Order
@@ -283,6 +283,34 @@ def test_enumeration_budget_guard():
     from latmac.errors import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         stable_sublattices(O10, 50, max_count=10)
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    ((1, 0, -2, -5), 32),
+    ((1, -1, -4, 4, 1), 13),
+    ((1, 0, 0, -3, -1), 28),
+    ((1, 0, 0, 0, 0, -2), 186),
+])
+def test_lattice_counts_at_default_bound(coeffs, count):
+    order = Order(MonicIntPoly(coeffs))
+    ideals = stable_sublattices(order, default_bound(order))
+    assert len(ideals) == count
+    keys = [(a.lattice.determinant(), a.lattice.rows) for a in ideals]
+    assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("coeffs, size", [
+    # every pair of X^3-2X-5 tries at most 364 candidates, so a per-pair cap
+    # of 1000 never bites; the pairs together try more than 1000
+    ((1, 0, -2, -5), 1000),
+    # X^2+5000 has 321 ideals in 111 classes: far more than 1000 pair tests
+    ((1, 0, 5000), 1000),
+])
+def test_class_monoid_shares_one_search_budget(coeffs, size):
+    from latmac.errors import BudgetExceeded
+    order = Order(MonicIntPoly(coeffs))
+    with pytest.raises(BudgetExceeded):
+        class_monoid(order, budget=SearchBudget(max_candidates=size))
 
 
 def test_multiplicator_ring_is_class_invariant():
