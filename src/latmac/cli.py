@@ -6,7 +6,8 @@ consumer.  Results of the expensive commands can be cached; a cache hit
 reproduces the cold-run output byte for byte.
 
 Exit codes: 0 success (fully certified), 1 invalid input, 2 a result was
-affected by an Unknown search verdict, 3 a search budget ran out.
+affected by an Unknown search verdict, 3 a search budget ran out, 4 an
+internal certificate failed its exact check.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import time
 from dataclasses import dataclass
 from . import __version__
 from .errors import (
-    BudgetExceeded, DegreeCapExceeded, InvalidD, InvalidGenus, InvalidHom,
-    NotPrimitive, RankDeficient, ReduciblePolynomial, SwitchViolation,
-    ZeroIdeal, ZeroVector,
+    BudgetExceeded, CertificationError, DegreeCapExceeded, InvalidD,
+    InvalidGenus, InvalidHom, NotPrimitive, RankDeficient,
+    ReduciblePolynomial, SwitchViolation, ZeroIdeal, ZeroVector,
 )
 from .exactla import DEGREE_CAP, IntMatrix, MonicIntPoly, poly_from_string
 from .ideal import SearchBudget, FracIdeal, class_monoid
@@ -416,6 +417,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except CertificationError as exc:
+        print(f"error: internal certification failure: {exc}", file=sys.stderr)
+        return 4
     sys.stdout.write(text)
     return code
 

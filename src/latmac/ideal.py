@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, product
 from math import gcd, isqrt
 
@@ -126,6 +127,11 @@ class FracIdeal:
             [o.reduce_product(z.coords, r) for r in self.lattice.rows])
         return make_ideal(o, int_rows, den * self.den)
 
+    @cached_property
+    def ring(self) -> "FracIdeal":
+        """colon(self, self), computed once per ideal; see multiplicator_ring."""
+        return colon(self, self)
+
     def __repr__(self):
         return f"FracIdeal(den={self.den}, rows={self.lattice.rows})"
 
@@ -203,8 +209,9 @@ def colon(a: FracIdeal, b: FracIdeal) -> FracIdeal:
 
 
 def multiplicator_ring(a: FracIdeal) -> FracIdeal:
-    """colon(a, a): the largest order for which a is a module."""
-    return colon(a, a)
+    """colon(a, a): the largest order for which a is a module.  It is cached
+    on a as a.ring, so each ideal computes it once however many pairs use it."""
+    return a.ring
 
 
 def is_invertible(a: FracIdeal) -> bool:

@@ -4,14 +4,17 @@ a fixed irreducible characteristic polynomial against ideal classes of Z[xi].
 matrix_to_ideal sends M to the Z-span of the entries of an integral
 xi-eigenvector, read off column 0 of adj(xi I - M) by integer mat-vecs;
 ideal_to_matrix writes multiplication by xi on an ideal basis by the
-triangular solve against its HNF.  are_conjugate decides conjugacy through ideal equivalence and
-reconstructs a verified unimodular witness.  oracle_count_classes is the
-independent brute-force check: it never touches the ideal machinery.  In
-degree 3 it enumerates every matrix with the charpoly and entries in [-h, h]
-and returns the number of components of the conjugation-move graph on the
-box [-(h + 4), h + 4] that meet them.  That count is never below the number
-of classes met, and equals it when the box holds a path between any two
-conjugate matrices.  Its numpy kernels import numpy on first use only.
+triangular solve against its HNF.  are_conjugate decides conjugacy through
+ideal equivalence and reconstructs a verified unimodular witness.
+oracle_count_classes is the independent brute-force check: it never touches
+the ideal machinery.  In degree 2 it removes each seed's conjugates through a
+table of linear maps on the entries, one per unimodular +-P in the conjugator
+box, built once per bound in plain Python.  In degree 3 it enumerates every
+matrix with the charpoly and entries in [-h, h] and returns the number of
+components of the conjugation-move graph on the box [-(h + 4), h + 4] that
+meet them.  That count is never below the number of classes met, and equals
+it when the box holds a path between any two conjugate matrices.  Its numpy
+kernels import numpy on first use only.
 """
 
 from __future__ import annotations
@@ -220,36 +223,37 @@ def _matrices_with_charpoly_2(chi: MonicIntPoly, h: int):
 
 
 @lru_cache(maxsize=4)
-def _unimodular_2x2(bound: int):
-    return tuple(((a, b), (c, d))
-                 for a, b, c, d in product(range(-bound, bound + 1), repeat=4)
-                 if a * d - b * c in (1, -1))
-
-
-def _conjugate_2x2(p, m):
-    (a, b), (c, d) = p
-    dp = a * d - b * c
-    (x, y), (z, w) = m
-    # p * m
-    r = ((a * x + b * z, a * y + b * w), (c * x + d * z, c * y + d * w))
-    # times p^-1 = adj(p)/dp with adj = ((d, -b), (-c, a))
-    (x, y), (z, w) = r
-    out = ((x * d - y * c, -x * b + y * a), (z * d - w * c, -z * b + w * a))
-    if dp == 1:
-        return out
-    return ((-out[0][0], -out[0][1]), (-out[1][0], -out[1][1]))
+def _conjugation_maps(bound: int) -> frozenset:
+    """M -> P M P^-1 for every unimodular P with entries in [-bound, bound],
+    as 16 coefficients: four rows, one per entry of P M P^-1, of a linear
+    map on the entries (x, y, z, w) of M.  For P = [[a, b], [c, d]] with
+    e = det P, P^-1 = e adj(P) gives the rows below; P and -P give one map.
+    """
+    maps = set()
+    for a, b, c, d in product(range(-bound, bound + 1), repeat=4):
+        e = a * d - b * c
+        if e in (1, -1):
+            maps.add(tuple(e * t for t in (a * d, -a * c, b * d, -b * c,
+                                           -a * b, a * a, -b * b, a * b,
+                                           c * d, -c * c, d * d, -c * d,
+                                           -b * c, a * c, -b * d, a * d)))
+    return frozenset(maps)
 
 
 def _group_2x2(mats, conj_bound: int) -> int:
+    """Classes met by mats: each seed left, in sorted order, removes its own."""
     todo = {m.rows for m in mats}
-    ps = _unimodular_2x2(conj_bound)
+    maps = _conjugation_maps(conj_bound)
     count = 0
     for m in sorted(todo):
         if m not in todo:
             continue
         count += 1
-        for p in ps:
-            todo.discard(_conjugate_2x2(p, m))
+        (x, y), (z, w) = m
+        todo.difference_update(
+            ((a * x + b * y + c * z + d * w, e * x + f * y + g * z + h * w),
+             (i * x + j * y + k * z + l * w, p * x + q * y + r * z + s * w))
+            for a, b, c, d, e, f, g, h, i, j, k, l, p, q, r, s in maps)
         todo.discard(m)
     return count
 

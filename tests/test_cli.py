@@ -173,6 +173,17 @@ def test_spent_budget_yields_exit_three(capsys, monkeypatch):
     assert "budget" in captured.err
 
 
+def test_failed_certificate_yields_exit_four(capsys, monkeypatch):
+    # a wrong charpoly makes ideal_to_matrix's exact check fail: an internal
+    # fault, reported on stderr instead of a traceback
+    monkeypatch.setattr(latmac.latimer, "charpoly",
+                        lambda m: MonicIntPoly((1, 0, 1)))
+    code = main(["classify", "--poly", "1,0,5"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: internal certification failure: ")
+
+
 @pytest.mark.parametrize("bound", ["0", "-3", "1", "4"])
 @pytest.mark.parametrize("cmd", ["classify", "icm"])
 def test_bound_below_one_is_input_error(capsys, cmd, bound):

@@ -2,8 +2,8 @@
 reference Gauss-Jordan solve over K, the charpoly guard, the HNF triangular
 solve and idempotence, field inversion, the one Bareiss elimination against
 cofactor and Fraction Gauss-Jordan references, real root isolation against
-the former largest-root bisection, and the stable-sublattice descent against
-a brute-force HNF scan."""
+the former largest-root bisection, the stable-sublattice descent against
+a brute-force HNF scan, and the colon and product laws of ideals."""
 
 from fractions import Fraction
 from itertools import product
@@ -18,7 +18,7 @@ from latmac.exactla import (
     det_bareiss, det_cofactor, discriminant, hnf, is_irreducible,
     kernel_rational, rank, real_roots,
 )
-from latmac.ideal import stable_sublattices
+from latmac.ideal import colon, mul_ideals, stable_sublattices
 from latmac.latimer import ideal_to_matrix, xi_eigenvector
 from latmac.order import FieldElement, Order
 
@@ -447,3 +447,36 @@ def test_descent_matches_hnf_scan(o):
     scan = hnf_scan(o, bound)
     assert descent == sorted(scan, key=lambda rows: (
         HNFBasis(rows).determinant(), rows))
+
+
+# ---------------------------------------------------------------------------
+# colon and mul_ideals: the laws of (a : b) and a b
+# ---------------------------------------------------------------------------
+
+def _subset(a, b):
+    """Every basis element of the ideal a lies in the ideal b."""
+    return all(b.contains(x) for x in a.basis_elements())
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two stable lattices of a small quadratic or cubic order, the second
+    scaled by a random nonzero field element so that it may be fractional."""
+    o = draw(orders((2, 3)))
+    ideals = stable_sublattices(o, {2: 12, 3: 6}[o.n])
+    a, b = draw(st.sampled_from(ideals)), draw(st.sampled_from(ideals))
+    nums = draw(st.lists(st.integers(-3, 3), min_size=o.n, max_size=o.n))
+    assume(any(nums))
+    den = draw(st.integers(1, 4))
+    return a, b.scale(FieldElement(o, tuple(Fraction(x, den) for x in nums)))
+
+
+@PROPERTY
+@given(ideal_pairs())
+def test_colon_and_product_laws(pair):
+    a, b = pair
+    assert _subset(mul_ideals(colon(a, b), b), a)
+    assert _subset(a, colon(mul_ideals(a, b), b))
+    for c in (a, b):
+        assert c.ring == colon(c, c)
+        assert c.ring.contains(c.order.one().to_field())

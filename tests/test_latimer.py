@@ -1,12 +1,16 @@
+import functools
 import os
 import random
 import subprocess
 import sys
 from itertools import permutations, product
+from math import isqrt
 
 import pytest
 
-from latmac.exactla import IntMatrix, MonicIntPoly, adjugate, charpoly, companion, det_bareiss
+from latmac.exactla import (
+    IntMatrix, MonicIntPoly, adjugate, charpoly, companion, det_bareiss, discriminant,
+)
 from latmac.ideal import (
     EQUIVALENT, INEQUIVALENT, ideal_from_generators, is_equivalent,
     stable_sublattices, unit_ideal,
@@ -14,7 +18,8 @@ from latmac.ideal import (
 from latmac.latimer import (
     are_conjugate, classify, ideal_to_matrix, matrix_to_ideal,
     oracle_count_classes, order_for, xi_eigenvector,
-    _group_3x3, _matrices_with_charpoly_3, _moves_3,
+    _conjugation_maps, _group_2x2, _group_3x3, _matrices_with_charpoly_2,
+    _matrices_with_charpoly_3, _moves_3,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -240,6 +245,90 @@ def test_cubic_enumeration_is_sorted_and_unique():
     assert rows == sorted(set(rows))
 
 
+# Plain per-P conjugation over tuple-of-tuple matrices: the reference for the
+# table of conjugation maps behind _group_2x2.
+@functools.lru_cache(maxsize=None)
+def reference_unimodular_2x2(bound):
+    return [((a, b), (c, d))
+            for a, b, c, d in product(range(-bound, bound + 1), repeat=4)
+            if a * d - b * c in (1, -1)]
+
+
+def reference_conjugate_2x2(p, m):
+    (a, b), (c, d) = p
+    dp = a * d - b * c
+    (x, y), (z, w) = m
+    # p * m
+    r = ((a * x + b * z, a * y + b * w), (c * x + d * z, c * y + d * w))
+    # times p^-1 = adj(p)/dp with adj = ((d, -b), (-c, a))
+    (x, y), (z, w) = r
+    out = ((x * d - y * c, -x * b + y * a), (z * d - w * c, -z * b + w * a))
+    if dp == 1:
+        return out
+    return ((-out[0][0], -out[0][1]), (-out[1][0], -out[1][1]))
+
+
+def reference_group_2x2(mats, conj_bound):
+    todo = {m.rows for m in mats}
+    ps = reference_unimodular_2x2(conj_bound)
+    count = 0
+    for m in sorted(todo):
+        if m not in todo:
+            continue
+        count += 1
+        for p in ps:
+            todo.discard(reference_conjugate_2x2(p, m))
+        todo.discard(m)
+    return count
+
+
+def apply_map_2x2(t, m):
+    (x, y), (z, w) = m
+    v = [sum(c * e for c, e in zip(t[4 * i:4 * i + 4], (x, y, z, w)))
+         for i in range(4)]
+    return (tuple(v[:2]), tuple(v[2:]))
+
+
+def test_conjugation_maps_match_reference():
+    maps = _conjugation_maps(10)
+    ps = reference_unimodular_2x2(10)
+    assert len(maps) == 1012 == len(ps) // 2
+    rng = random.Random(7)
+    for _ in range(20):
+        m = tuple(tuple(rng.randint(-20, 20) for _ in range(2)) for _ in range(2))
+        assert {apply_map_2x2(t, m) for t in maps} == {
+            reference_conjugate_2x2(p, m) for p in ps}
+
+
+IRREDUCIBLE_QUADRATICS = [
+    MonicIntPoly((1, b, c)) for b in range(-10, 11) for c in range(-10, 11)
+    if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c]
+
+
+@pytest.mark.parametrize("bounds", [(6, 6), (10, 10)])
+def test_group_2x2_matches_reference_loop(bounds):
+    h, conj = bounds
+    counts = []
+    for chi in IRREDUCIBLE_QUADRATICS:
+        mats = _matrices_with_charpoly_2(chi, h)
+        count = _group_2x2(mats, conj)
+        assert count == reference_group_2x2(mats, conj), chi.coeffs
+        counts.append(count)
+    assert len(counts) == 365 and sum(counts) == {6: 462, 10: 598}[h]
+
+
+# the imaginary quadratics of the oracle benchmark: 7 <= |disc| <= 60 and
+# coefficients at most 10
+ORACLE_IMAGINARY = [(1, s, k) for s in (0, 1) for k in range(2, 11)]
+
+
+@pytest.mark.parametrize("coeffs", ORACLE_IMAGINARY)
+def test_oracle_matches_classify_on_imaginary_quadratics(coeffs):
+    chi = MonicIntPoly(coeffs)
+    assert 7 <= -discriminant(chi) <= 60
+    assert oracle_count_classes(chi, 10, 10) == classify(chi).count
+
+
 # Plain-Python breadth-first grouping over tuple-of-tuple matrices: the
 # reference for the vectorized _group_3x3.
 _PERMS3 = list(permutations(range(3)))
@@ -377,7 +466,6 @@ def test_explicit_conjugation_certificates_confirmed_by_ideal_route():
     # equivalent through the ideal machinery: guards against false
     # inequivalence in either quadratic signature
     rng = random.Random(211)
-    from latmac.latimer import _conjugate_2x2, _matrices_with_charpoly_2
     ps = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (-1, 0)),
           ((2, 1), (1, 1)), ((3, -2), (1, -1))]
     for chi in (ROOT10, MonicIntPoly((1, -2, 12)), MonicIntPoly((1, -6, -10)),
@@ -386,7 +474,7 @@ def test_explicit_conjugation_certificates_confirmed_by_ideal_route():
         mats = _matrices_with_charpoly_2(chi, 8)
         for _ in range(10):
             m = rng.choice(mats).rows
-            n = _conjugate_2x2(rng.choice(ps), m)
+            n = reference_conjugate_2x2(rng.choice(ps), m)
             res = is_equivalent(matrix_to_ideal(IntMatrix(m), o),
                                 matrix_to_ideal(IntMatrix(n), o))
             assert res.status == EQUIVALENT
