@@ -3,15 +3,17 @@
 Everything here is arbitrary precision.  One fraction-free elimination runs
 every solve: _bareiss, a forward Bareiss pass on [A | B], then exact integer
 back-substitution.  det_bareiss, rank, kernel_rational (Fractions only in its
-output), solve and adjugate go through it, and so do field inverses, colon
-lattices and conjugacy witnesses elsewhere; det_cofactor stays as an
-independent cross-check.  Hermite and Smith normal forms and the triangular
-solve against an HNF basis, HNFBasis.coordinates, are separate integer
-routines.  One remainder sequence over Q gives poly_gcd_rational and the
-Sturm sequence behind real_roots, which isolates every real root in
-certified rational intervals.  Over F_p, kernel_mod_p is a Gauss-Jordan
-kernel and factors_mod_p finds small irreducible factors by distinct- and
-equal-degree factorization; with the prime stream primes() they drive the
+output), solve, adjugate and discriminant go through it, and so do field
+inverses, colon lattices and conjugacy witnesses elsewhere; det_cofactor
+stays as an independent cross-check.  One integer lattice elimination,
+the xgcd step _echelon_insert, builds both normal forms: hnf inserts the
+generators once, and snf alternates row and column echelon forms.  The
+triangular solve against an HNF basis is HNFBasis.coordinates.  One
+remainder sequence over Q gives poly_gcd_rational and the Sturm sequence
+behind real_roots, which isolates every real root in certified rational
+intervals.  Over F_p, kernel_mod_p is a Gauss-Jordan kernel and
+factors_mod_p finds small irreducible factors by distinct- and equal-degree
+factorization; with the prime stream primes() they drive the
 stable-sublattice descent.  The lattice normal form used throughout the
 package is row-style Hermite normal form: upper triangular, positive pivots,
 entries above a pivot reduced modulo it.
@@ -25,9 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import CertificationError, DegreeCapExceeded, RankDeficient
+from .errors import (
+    BudgetExceeded, CertificationError, DegreeCapExceeded, RankDeficient,
+)
 
 DEGREE_CAP = 6
+# candidate factors is_irreducible may try; X^6-30X-50 needs 10,721,988
+FACTOR_CANDIDATE_CAP = 5 * 10 ** 7
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -389,26 +395,15 @@ def companion(p: MonicIntPoly) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def sylvester_resultant(p, q) -> int:
-    """Resultant of two integer coefficient sequences (highest degree first)."""
-    dp = len(p) - 1
-    dq = len(q) - 1
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + list(p) + [0] * (dq - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + list(q) + [0] * (dp - 1 - i))
-    return det_bareiss(rows)
-
-
 def discriminant(p: MonicIntPoly) -> int:
-    """Integer discriminant, (-1)^(n(n-1)/2) * res(p, p')."""
-    n = p.degree
-    if n == 1:
-        return 1
-    res = sylvester_resultant(p.coeffs, p.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    """Integer discriminant, (-1)^(n(n-1)/2) * N(p'(xi)) for xi a root of p.
+
+    Row k of the matrix of multiplication by p'(xi) is X^k p' mod p.  Its
+    columns run highest degree first, which reverses the power basis and
+    contributes exactly the sign (-1)^(n(n-1)/2)."""
+    d = p.derivative()
+    return det_bareiss([_poly_divmod_monic(d + (0,) * k, p.coeffs)[1]
+                        for k in range(p.degree)])
 
 
 def _norm2_ceil(coeffs) -> int:
@@ -429,7 +424,10 @@ def is_irreducible(p: MonicIntPoly, degree_cap: int = DEGREE_CAP) -> bool:
 
     Candidate monic factors of degree d have coefficients bounded by the
     Landau-Mignotte bound 2^d * ||p||_2; constant terms must divide p(0) and
-    candidate values at 1 and -1 must divide p(1) and p(-1).
+    candidate values at 1 and -1 must divide p(1) and p(-1).  The candidates
+    of one constant term are tried as a block; BudgetExceeded is raised
+    before a block that would take the count tried past
+    FACTOR_CANDIDATE_CAP.
     """
     n = p.degree
     if n > degree_cap:
@@ -444,16 +442,16 @@ def is_irreducible(p: MonicIntPoly, degree_cap: int = DEGREE_CAP) -> bool:
     if p1 == 0 or pm1 == 0:
         return False
     norm2 = _norm2_ceil(p.coeffs)
+    tried = 0
     for d in range(1, n // 2 + 1):
         bound = (1 << d) * norm2
-        consts = _divisors_signed(p0, bound)
-        if d == 1:
-            for c in consts:
-                if p(-c) == 0:
-                    return False
-            continue
         mid_range = range(-bound, bound + 1)
-        for const in consts:
+        block = len(mid_range) ** (d - 1)
+        for const in _divisors_signed(p0, bound):
+            tried += block
+            if tried > FACTOR_CANDIDATE_CAP:
+                raise BudgetExceeded(f"irreducibility test of {p} needs more "
+                                     f"than {FACTOR_CANDIDATE_CAP} candidates")
             for mid in product(mid_range, repeat=d - 1):
                 g = (1,) + mid + (const,)
                 g1 = sum(g)
@@ -599,109 +597,53 @@ class SNFResult:
     v: IntMatrix
 
 
+def _echelon_pass(s, t):
+    """Row echelon form of [S | T] by _echelon_insert, split back into the
+    square S and T.  [S | T] must have full row rank, so no row is lost."""
+    basis = {}
+    for r, w in zip(s, t):
+        _echelon_insert(basis, r + w)
+    n = len(s)
+    rows = [basis[j] for j in sorted(basis)]
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
 def snf(a: IntMatrix) -> SNFResult:
-    """Smith normal form with transformation matrices."""
+    """Smith normal form with transformation matrices.
+
+    Alternates the row echelon forms of [S | U] and of [S^T | V^T], starting
+    from S = A and U = V = I, until S is diagonal (Kannan-Bachem, SIAM J.
+    Comput. 8, 1979; Cohen, GTM 138, 2.4.4).  Each pass is a unimodular
+    transform of the rows, so U A V = S throughout.  While some d_i does
+    not divide a later d_j, row j is added to row i and the passes resume:
+    the next column pass replaces d_i by gcd(d_i, d_j).  Last, rows with a
+    negative d_i are negated.
+    """
     n = a.n
     s = [list(r) for r in a.rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_combine(i1, i2, col):
-        # zero s[i2][col] against pivot s[i1][col]
-        aa, bb = s[i1][col], s[i2][col]
-        if bb == 0:
-            return
-        if aa != 0 and bb % aa == 0:
-            q = bb // aa
-            for k in range(n):
-                s[i2][k] -= q * s[i1][k]
-                u[i2][k] -= q * u[i1][k]
-            return
-        g, x, y = xgcd(aa, bb)
-        ag, bg = aa // g, bb // g
-        for k in range(n):
-            s1, s2 = s[i1][k], s[i2][k]
-            s[i1][k] = x * s1 + y * s2
-            s[i2][k] = ag * s2 - bg * s1
-            u1, u2 = u[i1][k], u[i2][k]
-            u[i1][k] = x * u1 + y * u2
-            u[i2][k] = ag * u2 - bg * u1
-
-    def col_combine(j1, j2, row):
-        aa, bb = s[row][j1], s[row][j2]
-        if bb == 0:
-            return
-        if aa != 0 and bb % aa == 0:
-            q = bb // aa
-            for k in range(n):
-                s[k][j2] -= q * s[k][j1]
-                v[k][j2] -= q * v[k][j1]
-            return
-        g, x, y = xgcd(aa, bb)
-        ag, bg = aa // g, bb // g
-        for k in range(n):
-            s1, s2 = s[k][j1], s[k][j2]
-            s[k][j1] = x * s1 + y * s2
-            s[k][j2] = ag * s2 - bg * s1
-            v1, v2 = v[k][j1], v[k][j2]
-            v[k][j1] = x * v1 + y * v2
-            v[k][j2] = ag * v2 - bg * v1
-
-    def clear_cross(t):
-        # zero row t and column t outside the pivot s[t][t]
-        while True:
-            for i in range(t + 1, n):
-                row_combine(t, i, t)
-            if all(s[t][j] == 0 for j in range(t + 1, n)):
-                return
-            for j in range(t + 1, n):
-                col_combine(t, j, t)
-            if all(s[i][t] == 0 for i in range(t + 1, n)):
-                return
-
-    for t in range(n):
-        # locate a nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if s[i][j] and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    piv = (i, j)
-        if piv is None:
+    u = [list(r) for r in IntMatrix.identity(n).rows]
+    vt = [list(r) for r in IntMatrix.identity(n).rows]
+    while True:
+        s, u = _echelon_pass(s, u)
+        st, vt = _echelon_pass([list(c) for c in zip(*s)], vt)
+        s = [list(r) for r in zip(*st)]
+        if any(s[i][j] for i in range(n) for j in range(n) if i != j):
+            continue
+        # the nonzero d_i come first: each pass sorts zero rows last
+        bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                    if s[i][i] and s[j][j] % s[i][i]), None)
+        if bad is None:
             break
-        pi, pj = piv
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for k in range(n):
-                s[k][t], s[k][pj] = s[k][pj], s[k][t]
-                v[k][t], v[k][pj] = v[k][pj], v[k][t]
-        clear_cross(t)
-        # enforce divisibility of the remaining block by the pivot
-        while True:
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if s[i][j] % s[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for k in range(n):
-                s[t][k] += s[bad][k]
-                u[t][k] += u[bad][k]
-            clear_cross(t)
-        if s[t][t] < 0:
-            for k in range(n):
-                s[t][k] = -s[t][k]
-                u[t][k] = -u[t][k]
-    diag = tuple(s[i][i] for i in range(n))
-    return SNFResult(diag, IntMatrix(tuple(tuple(r) for r in u)),
-                     IntMatrix(tuple(tuple(r) for r in v)))
+        i, j = bad
+        s[i] = [x + y for x, y in zip(s[i], s[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
+    for i in range(n):
+        if s[i][i] < 0:
+            s[i] = [-x for x in s[i]]
+            u[i] = [-x for x in u[i]]
+    return SNFResult(tuple(s[i][i] for i in range(n)),
+                     IntMatrix(tuple(tuple(r) for r in u)),
+                     IntMatrix(tuple(zip(*vt))))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ _CF_STEP_CAP = 20000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the degree >= 3 witness search and CF safety limits.
+    """Caps for the degree >= 3 witness search.
 
     max_candidates caps the witness candidates of one search, and in
     class_monoid the pairwise tests and candidates of all pairs together.
@@ -53,7 +53,6 @@ class SearchBudget:
 
     coeff_bound: int = 4
     max_candidates: int = 500000
-    max_steps: int = _CF_STEP_CAP
 
     def __post_init__(self):
         if self.coeff_bound < 0:
@@ -286,19 +285,19 @@ def _scaled_anchor(a: FracIdeal, trail, k: int) -> FieldElement:
                                   Fraction(sign * (h1 * v1 - g1 * v2), a.den)))
 
 
-def cycle_key(a: FracIdeal, budget: SearchBudget = DEFAULT_BUDGET):
+def cycle_key(a: FracIdeal):
     """Class invariant for real quadratic ideals: the discriminant of the
     basis ratio and the set of (p, q) states on its CF period."""
     disc, p, q = _ratio_state(a)
-    trail, start = cf_period(p, q, disc, budget.max_steps)
+    trail, start = cf_period(p, q, disc, _CF_STEP_CAP)
     return disc, frozenset((p, q) for p, q, _ in trail[start:])
 
 
-def _equivalent_real_quadratic(a, b, budget):
+def _equivalent_real_quadratic(a, b):
     disc_a, p, q = _ratio_state(a)
-    trail_a, start = cf_period(p, q, disc_a, budget.max_steps)
+    trail_a, start = cf_period(p, q, disc_a, _CF_STEP_CAP)
     disc_b, p, q = _ratio_state(b)
-    trail_b, _ = cf_period(p, q, disc_b, budget.max_steps)
+    trail_b, _ = cf_period(p, q, disc_b, _CF_STEP_CAP)
     if disc_a != disc_b:
         return EquivalenceResult(INEQUIVALENT)
     period = {(p, q): k for k, (p, q, _) in enumerate(trail_a) if k >= start}
@@ -437,7 +436,7 @@ def is_equivalent(a: FracIdeal, b: FracIdeal,
         return EquivalenceResult(EQUIVALENT, z)
     if o.n == 2:
         if o.disc > 0:
-            return _equivalent_real_quadratic(a, b, budget)
+            return _equivalent_real_quadratic(a, b)
         return _equivalent_imaginary_quadratic(a, b)
     return _equivalent_bounded_search(a, b, budget, pool)
 
@@ -591,7 +590,7 @@ def class_monoid(order: Order, bound_override: int | None = None,
     if order.n == 2 and order.disc > 0:
         first: dict[tuple, FracIdeal] = {}
         for a in ideals:
-            first.setdefault(cycle_key(a, budget), a)
+            first.setdefault(cycle_key(a), a)
         reps = list(first.values())
     else:
         reps = []

@@ -62,7 +62,6 @@ class ClassInventory:
     chi: MonicIntPoly
     pairs: tuple[tuple[IdealClass, IntMatrix], ...]
     monoid: ClassMonoid
-    oracle_count: int | None = None
 
     @property
     def count(self) -> int:
@@ -177,23 +176,15 @@ def are_conjugate(m: IntMatrix, n_mat: IntMatrix,
 
 def classify(chi: MonicIntPoly, bound_override: int | None = None,
              budget: SearchBudget = DEFAULT_BUDGET,
-             oracle_bounds: tuple[int, int] | None = None,
              degree_cap: int | None = None) -> ClassInventory:
-    """One matrix representative per ideal class of Z[X]/(chi).
-
-    With oracle_bounds = (entry_bound, conj_bound) the brute-force count is
-    run alongside and recorded in the inventory.
-    """
+    """One matrix representative per ideal class of Z[X]/(chi)."""
     o = order_for(chi, degree_cap)
     cm = class_monoid(o, bound_override, budget)
     pairs = []
     for cls in cm.classes:
         rep = ideal_to_matrix(cls.canonical)
         pairs.append((cls, rep))
-    oracle = None
-    if oracle_bounds is not None:
-        oracle = oracle_count_classes(chi, *oracle_bounds)
-    return ClassInventory(chi, tuple(pairs), cm, oracle)
+    return ClassInventory(chi, tuple(pairs), cm)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +416,20 @@ def _sorted_find(table, keys):
     return pos, found
 
 
-def _group_3x3(vecs, entry_bound, margin=4) -> int:
+# how far _group_3x3's box reaches beyond the enumerated entries
+_BOX_MARGIN = 4
+
+
+def _group_3x3(vecs, entry_bound) -> int:
     """Count the conjugacy classes met by the enumerated matrices vecs.
 
     Invariant: the count is the number of connected components that meet
     vecs, in the graph whose nodes are the matrices with entries in
-    [-box, box], box = entry_bound + margin, and whose edges are the moves of
-    _moves_3.  Every move's inverse is a move, so the graph is undirected.
-    A class whose members are joined only through entries beyond the box
-    counts once per component, so the count is at least the class count.
+    [-box, box], box = entry_bound + _BOX_MARGIN, and whose edges are the
+    moves of _moves_3.  Every move's inverse is a move, so the graph is
+    undirected.  A class whose members are joined only through entries
+    beyond the box counts once per component, so the count is at least the
+    class count.
 
     Each seed, in sorted order, that no earlier search reached starts a
     breadth-first search.  It runs one frontier at a time on int64 keys that
@@ -448,7 +444,7 @@ def _group_3x3(vecs, entry_bound, margin=4) -> int:
     """
     import numpy as np
 
-    box = entry_bound + margin
+    box = entry_bound + _BOX_MARGIN
     radix = 2 * box + 1
     place = radix ** np.arange(8, -1, -1, dtype=np.int64)
     offset = box * int(place.sum())

@@ -17,7 +17,7 @@ from math import lcm
 
 from .errors import ReduciblePolynomial
 from .exactla import (
-    MonicIntPoly, companion, det_bareiss, discriminant, is_irreducible, solve,
+    MonicIntPoly, det_bareiss, discriminant, is_irreducible, solve,
 )
 
 
@@ -31,7 +31,7 @@ def clear_denominators(rows):
 class Order:
     """The ring Z[xi] for xi a root of a monic irreducible polynomial."""
 
-    __slots__ = ("chi", "n", "companion", "disc", "_xi_powers")
+    __slots__ = ("chi", "n", "disc", "_xi_powers")
 
     def __init__(self, chi: MonicIntPoly, *, check=True, degree_cap=None):
         if check:
@@ -40,7 +40,6 @@ class Order:
                 raise ReduciblePolynomial(f"{chi} is reducible over Z")
         self.chi = chi
         self.n = chi.degree
-        self.companion = companion(chi)
         self.disc = discriminant(chi)
         # coordinates of xi^k for k = 0 .. 2n-2, low-degree-first
         n = self.n

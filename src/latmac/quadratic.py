@@ -17,6 +17,9 @@ from .exactla import IntMatrix, MonicIntPoly, charpoly
 from .ideal import cf_period, class_monoid
 from .latimer import order_for
 
+# continued-fraction steps fundamental_unit allows before giving up
+_UNIT_STEP_CAP = 10 ** 6
+
 
 def is_squarefree(d: int) -> bool:
     if d % 4 == 0:
@@ -50,7 +53,7 @@ class QuadOrderInfo:
     matrix: IntMatrix
 
 
-def fundamental_unit(disc: int, step_cap: int = 10 ** 6) -> tuple[int, int, int]:
+def fundamental_unit(disc: int) -> tuple[int, int, int]:
     """Fundamental unit (t + u sqrt(disc))/2 of the real quadratic order of
     the given discriminant: returns (t, u, norm) with t^2 - disc u^2 = 4*norm.
 
@@ -66,7 +69,7 @@ def fundamental_unit(disc: int, step_cap: int = 10 ** 6) -> tuple[int, int, int]
     if s * s == disc:
         raise InvalidD(f"{disc} is a perfect square")
     try:
-        trail, start = cf_period(disc % 2, 2, disc, step_cap)
+        trail, start = cf_period(disc % 2, 2, disc, _UNIT_STEP_CAP)
     except BudgetExceeded:
         raise InvalidD(f"continued fraction for disc {disc} did not cycle") from None
     period = trail[start:]

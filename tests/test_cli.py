@@ -12,7 +12,9 @@ from latmac.cli import (
     ideal_to_json, main, matrix_from_json, matrix_to_json, parse_matrix_arg,
     poly_to_string,
 )
-from latmac.exactla import IntMatrix, MonicIntPoly, poly_from_string
+from latmac.exactla import (
+    IntMatrix, MonicIntPoly, is_irreducible, poly_from_string,
+)
 from latmac.ideal import unit_ideal
 from latmac.latimer import order_for
 
@@ -171,6 +173,16 @@ def test_spent_budget_yields_exit_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "budget" in captured.err
+
+
+def test_irreducibility_budget_yields_exit_three(capsys, monkeypatch):
+    # X^4+1 tries 36 candidate factors, X^6-5 tries 37,836
+    monkeypatch.setattr(latmac.exactla, "FACTOR_CANDIDATE_CAP", 1000)
+    assert is_irreducible(MonicIntPoly((1, 0, 0, 0, 1)))
+    code = main(["classify", "--poly", "1,0,0,0,0,0,-5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "irreducibility" in captured.err
 
 
 def test_failed_certificate_yields_exit_four(capsys, monkeypatch):

@@ -2,8 +2,9 @@
 reference Gauss-Jordan solve over K, the charpoly guard, the HNF triangular
 solve and idempotence, field inversion, the one Bareiss elimination against
 cofactor and Fraction Gauss-Jordan references, real root isolation against
-the former largest-root bisection, the stable-sublattice descent against
-a brute-force HNF scan, and the colon and product laws of ideals."""
+the former largest-root bisection, the discriminant as a norm against the
+Sylvester resultant, the stable-sublattice descent against a brute-force HNF
+scan, and the colon and product laws of ideals."""
 
 from fractions import Fraction
 from itertools import product
@@ -350,6 +351,30 @@ def _reference_largest_real_root(p, width):
         else:
             lo = mid
     return lo, hi
+
+
+def sylvester_discriminant(p: MonicIntPoly) -> int:
+    """Reference: (-1)^(n(n-1)/2) res(p, p'), the resultant as the
+    determinant of the (2n-1)x(2n-1) Sylvester matrix."""
+    n, dp = p.degree, p.derivative()
+    if n == 1:
+        return 1
+    rows = [[0] * i + list(p.coeffs) + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + list(dp) + [0] * (n - 1 - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * det_bareiss(rows)
+
+
+@PROPERTY
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.integers(-6, 6), min_size=n, max_size=n)), st.integers(-3, 3))
+def test_discriminant_matches_sylvester_resultant(tail, root):
+    p = MonicIntPoly((1, *tail))
+    assert discriminant(p) == sylvester_discriminant(p)
+    # (X - root)^2 p has a repeated root
+    x2p, xp, p1 = (*p.coeffs, 0, 0), (0, *p.coeffs, 0), (0, 0, *p.coeffs)
+    sq = MonicIntPoly(tuple(a - 2 * root * b + root * root * c
+                            for a, b, c in zip(x2p, xp, p1)))
+    assert discriminant(sq) == sylvester_discriminant(sq) == 0
 
 
 @st.composite

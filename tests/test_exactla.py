@@ -129,12 +129,30 @@ def test_snf_diag_4_6():
     assert res.diagonal[0] * res.diagonal[1] == abs(det_bareiss(((4, 0), (0, 6))))
 
 
-def test_snf_matches_minor_gcd_oracle():
-    rng = random.Random(11)
+def snf_inputs(rng):
+    """Random square matrices: full, rank deficient (rows drawn from a
+    smaller span), and shaped like cover_genus's relation matrices (two
+    nonzero rows padded with zero rows, sizes up to 7)."""
     for _ in range(40):
         n = rng.randint(1, 4)
-        a = IntMatrix(tuple(tuple(rng.randint(-6, 6) for _ in range(n))
-                            for _ in range(n)))
+        yield [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        span = [[rng.randint(-4, 4) for _ in range(n)]
+                for _ in range(rng.randint(0, n - 1))]
+        yield [[sum(rng.randint(-3, 3) * b[j] for b in span) for j in range(n)]
+               for _ in range(n)]
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        yield ([[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+               + [[0] * n for _ in range(n - 2)])
+
+
+def test_snf_matches_minor_gcd_oracle():
+    rng = random.Random(11)
+    for rows in snf_inputs(rng):
+        a = IntMatrix(tuple(tuple(r) for r in rows))
+        n = a.n
         res = snf_invariants(a)
         acc = 1
         for k in range(1, n + 1):

@@ -195,11 +195,6 @@ def test_oracle_counts_quadratic(chi, bounds, count):
     assert oracle_count_classes(chi, *bounds) == count
 
 
-def test_classify_records_oracle_count():
-    inv = classify(ROOT10, oracle_bounds=(10, 10))
-    assert inv.oracle_count == inv.count == 2
-
-
 def test_unknown_budget_splits_conservatively():
     from latmac.ideal import SearchBudget, class_monoid
     cm = class_monoid(order_for(MonicIntPoly((1, 0, -1, -1))),
